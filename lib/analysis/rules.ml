@@ -202,10 +202,6 @@ let lock_free_allow : (string * string) list =
     ( "Transport.Mux.staging",
       "flusher-owned swap space: only the thread that set [flushing] \
        under the conn lock touches it until it clears the flag" );
-    ( "Transport.Mux.mb_from",
-      "documented benign race: the broadcast path reads the dedup \
-       array outside the mailbox lock; worst case is a duplicate \
-       send and replica operations are idempotent" );
     ( "Transport.Mux.mb_enc",
       "per-handle encode staging; a handle belongs to one client \
        thread" );

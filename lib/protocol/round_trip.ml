@@ -1,22 +1,11 @@
 open Simulation
 
-type ('req, 'rep) pending = {
-  mutable replies : (int * 'rep) list; (* newest first *)
-  mutable fired : bool;
-  need : int;
-  k : (int * 'rep) list -> unit;
-}
-
 type ('req, 'rep) t = {
   net : ('req, 'rep) Message.t Network.t;
   node : int;
   servers : int array;
-  quorum : int;
-  mutable next_rt : int;
-  pending : (int, ('req, 'rep) pending) Hashtbl.t;
-  mutable started : int;
-  mutable completed : int;
-  mutable late : int;
+  mutable round : 'rep Round.t;
+  mutable k : (int * 'rep) list -> unit; (* the open round's continuation *)
 }
 
 let on_delivery t (env : ('req, 'rep) Message.t Network.envelope) =
@@ -24,44 +13,36 @@ let on_delivery t (env : ('req, 'rep) Message.t Network.envelope) =
   | Message.Request _ ->
     invalid_arg (Printf.sprintf "Round_trip: client node %d received a request" t.node)
   | Message.Reply { rt; server; payload } -> (
-    match Hashtbl.find_opt t.pending rt with
-    | None -> t.late <- t.late + 1
-    | Some p ->
-      if p.fired then t.late <- t.late + 1
-      else begin
-        p.replies <- (server, payload) :: p.replies;
-        if List.length p.replies >= p.need then begin
-          p.fired <- true;
-          t.completed <- t.completed + 1;
-          Hashtbl.remove t.pending rt;
-          p.k (List.rev p.replies)
-        end
-      end)
+    let verdict, round = Round.offer t.round ~server ~rt ~key:None payload in
+    t.round <- round;
+    match verdict with
+    | Round.Quorum -> (
+      let replies, round = Round.close t.round in
+      t.round <- round;
+      match replies with Ok replies -> t.k replies | Error msg -> failwith msg)
+    | Round.Counted | Round.Late | Round.Foreign -> ())
 
 let create ~net ~node ~servers ~quorum =
   if quorum <= 0 || quorum > Array.length servers then
     invalid_arg "Round_trip.create: quorum out of range";
+  (* No deadlines in virtual time: a round short of its quorum blocks,
+     which is the model's behaviour. *)
   let t =
     {
       net;
       node;
       servers;
-      quorum;
-      next_rt = 0;
-      pending = Hashtbl.create 8;
-      started = 0;
-      completed = 0;
-      late = 0;
+      round = Round.create ~client:node ~quorum ~timeout:infinity ~max_retries:0;
+      k = ignore;
     }
   in
   Network.register net ~node (on_delivery t);
   t
 
 let exec_skipping t ~skip payload k =
-  let rt = t.next_rt in
-  t.next_rt <- rt + 1;
-  t.started <- t.started + 1;
-  Hashtbl.replace t.pending rt { replies = []; fired = false; need = t.quorum; k };
+  let rt, round = Round.open_ t.round ~now:0.0 ~key:None in
+  t.round <- round;
+  t.k <- k;
   Array.iter
     (fun s ->
       if not (List.mem s skip) then
@@ -71,6 +52,6 @@ let exec_skipping t ~skip payload k =
 
 let exec t payload k = exec_skipping t ~skip:[] payload k
 
-let rounds_started t = t.started
-let rounds_completed t = t.completed
-let late_replies t = t.late
+let rounds_started t = Round.started t.round
+let rounds_completed t = Round.completed t.round
+let late_replies t = Round.late t.round

@@ -1,10 +1,17 @@
 (** Length-prefixed binary codec for the register wire protocol.
 
-    One frame = a 4-byte big-endian body length followed by the body: a
-    tag byte ([Request]/[Reply]), the round-trip id and the client or
-    server index, then the {!Registers.Wire.req} or {!Registers.Wire.rep}
-    payload — including the full value vector of a READACK, each value
-    with its [updated] client set.  Integers travel as 8-byte
+    One frame = a 4-byte big-endian body length followed by the body,
+    which opens with a tag byte:
+
+    - [0] [Request]: round-trip id, client index, {!Registers.Wire.req};
+    - [1] [Reply]: round-trip id, client index, server index,
+      {!Registers.Wire.rep};
+    - [2] [Keyed_request] and [3] [Keyed_reply]: the register key (an
+      8-byte length, then at most {!max_key_len} bytes), then the same
+      fields as tag [0] or [1].
+
+    A reply payload carries the full value vector of a READACK, each
+    value with its [updated] client set.  Integers travel as 8-byte
     little-endian two's-complement.
 
     Decoding is strict: short input, bad tags, negative or oversized

@@ -7,10 +7,9 @@ exception Unavailable = Mux.Unavailable
 (* ------------------------------------------------------------------ *)
 (* The private per-client-socket path                                  *)
 (*                                                                     *)
-(* Each client owns S sockets and polls them with [select] inside every *)
-(* operation.  Kept as the baseline the multiplexed plane is measured   *)
-(* against (bench `live` records both), and for talking to servers that *)
-(* predate the client-echoing Reply frame.                              *)
+(* Each client owns S sockets and polls them (poll(2) via Netio) inside *)
+(* every operation.  Kept as the baseline the multiplexed plane is      *)
+(* measured against: bench `live` records both.                         *)
 (* ------------------------------------------------------------------ *)
 
 type conn = {
@@ -24,29 +23,20 @@ type conn = {
 type sockets = {
   client : int;
   conns : conn array;
-  quorum : int;
-  rt_timeout : float;
-  max_rt_retries : int;
   connect_retries : int;
   connect_backoff : float;
   faults : Faults.t option;
-  mutable next_rt : int;
-  mutable started : int;
-  mutable completed : int;
-  mutable late : int;
-  mutable retried : int; (* re-broadcasts after a round-trip timeout *)
+  mutable round : Wire.rep Protocol.Round.t;
   read_buf : Bytes.t;
   enc : Buffer.t; (* reused encode buffer *)
   mutable out : Bytes.t; (* reused write staging *)
-  (* Fault-plan deliveries scheduled for later: (due, payload copy,
-     server index, truncated), sorted by deadline.  The op's poll loop
-     drains due entries and shrinks its timeout to the nearest one; the
-     sender never sleeps, so a delay on one link cannot push back the
-     sends to the rest of the fan-out.  One client thread owns the
-     endpoint, so no lock. *)
-  mutable staged : (float * Bytes.t * int * bool) list;
+  (* Fault-plan deliveries scheduled for later: (payload copy, server
+     index, truncated).  The op's poll loop drains due entries and
+     shrinks its timeout to the nearest one; the sender never sleeps, so
+     a delay on one link cannot push back the sends to the rest of the
+     fan-out.  One client thread owns the endpoint, so no lock. *)
+  mutable staged : (Bytes.t * int * bool) Deadline_queue.t;
 }
-
 type t =
   | Sockets of sockets
   | Shared of Mux.handle
@@ -123,21 +113,16 @@ let create ?(rt_timeout = 1.0) ?(max_rt_retries = 3) ?(connect_retries = 8)
               next_attempt = 0.0;
             })
           servers;
-      quorum;
-      rt_timeout;
-      max_rt_retries;
       connect_retries;
       connect_backoff;
       faults;
-      next_rt = 0;
-      started = 0;
-      completed = 0;
-      late = 0;
-      retried = 0;
+      round =
+        Protocol.Round.create ~client ~quorum ~timeout:rt_timeout
+          ~max_retries:max_rt_retries;
       read_buf = Bytes.create 65536;
       enc = Buffer.create 256;
       out = Bytes.create 256;
-      staged = [];
+      staged = Deadline_queue.empty;
     }
   in
   (* Optimistic first dial; failures just leave the conn in backoff. *)
@@ -169,54 +154,27 @@ let send_truncated c bytes len =
     try Netio.write_all fd bytes 0 prefix with Unix.Unix_error _ -> ()));
   drop c
 
-(* Park one scheduled delivery on the deadline queue (sorted insert;
-   the queue holds a handful of frames). *)
-let stage t ~due payload i truncated =
-  let rec ins = function
-    | [] -> [ (due, payload, i, truncated) ]
-    | ((d, _, _, _) :: _) as l when due < d -> (due, payload, i, truncated) :: l
-    | e :: rest -> e :: ins rest
-  in
-  t.staged <- ins t.staged
-
 (* Deliver every staged frame whose deadline has passed.  Frames may
    outlive the round (or even the operation) that sent them — the
    asynchrony being modelled; the replies they draw count as late. *)
-let drain_staged t =
-  let t_now = now () in
-  let rec split acc l =
-    match l with
-    | (d, payload, i, tr) :: rest when d <= t_now ->
-      split ((payload, i, tr) :: acc) rest
-    | [] | (_, _, _, _) :: _ ->
-      t.staged <- l;
-      List.rev acc
-  in
-  List.iter
-    (fun (payload, i, truncated) ->
-      let c = t.conns.(i) in
-      if truncated then send_truncated c payload (Bytes.length payload)
-      else ignore (send_bytes c payload (Bytes.length payload)))
-    (split [] t.staged)
+let rec drain_staged t =
+  match Deadline_queue.pop_due t.staged ~now:(now ()) with
+  | None -> ()
+  | Some ((payload, i, truncated), rest) ->
+    t.staged <- rest;
+    let c = t.conns.(i) in
+    if truncated then send_truncated c payload (Bytes.length payload)
+    else ignore (send_bytes c payload (Bytes.length payload));
+    drain_staged t
 
-(* Nearest staged deadline, for the poll-timeout shrink. *)
-let next_staged_due t =
-  match t.staged with (d, _, _, _) :: _ -> Some d | [] -> None
-
-(* The round-trip contract of the model (§2.1): send to all S servers,
-   complete on the first S − t replies in arrival order, count whatever
-   arrives afterwards as late.  One endpoint serves one client thread;
-   operations are sequential per client, so a single in-flight rt
-   suffices. *)
+(* One round trip on the private sockets: {!Protocol.Round} decides
+   which replies count and when to re-broadcast or give up; this loop
+   moves the frames.  One endpoint serves one client thread, so the
+   round needs no lock. *)
 let sockets_exec ?key t req k =
-  let rt = t.next_rt in
-  t.next_rt <- rt + 1;
-  t.started <- t.started + 1;
-  let n = Array.length t.conns in
-  let replied = Array.make n false in
-  let sent = Array.make n false in
-  let replies = ref [] in
-  let nreplies = ref 0 in
+  let rt, round = Protocol.Round.open_ t.round ~now:(now ()) ~key in
+  t.round <- round;
+  let sent = Array.make (Array.length t.conns) false in
   (* Encode once into the reused buffer; the same bytes go to every
      server. *)
   let frame =
@@ -229,33 +187,23 @@ let sockets_exec ?key t req k =
   if len > Bytes.length t.out then
     t.out <- Bytes.create (max len (2 * Bytes.length t.out));
   Buffer.blit t.enc 0 t.out 0 len;
-  (* A reply counts only when both the round-trip id and the register
-     key echo what this round sent; anything else is late traffic. *)
-  let accept i rt' key' rep =
-    if rt' = rt && key' = key && not replied.(i) then begin
-      replied.(i) <- true;
-      (* Label replies with the connection's server index — it is
-         authoritative, unlike the peer-reported field. *)
-      replies := (i, rep) :: !replies;
-      incr nreplies
-    end
-    else t.late <- t.late + 1
+  (* Label replies with the connection's server index — it is
+     authoritative, unlike the peer-reported field. *)
+  let offer i rt key rep =
+    t.round <- snd (Protocol.Round.offer t.round ~server:i ~rt ~key rep)
   in
   let handle_frame i = function
     | Codec.Request _ | Codec.Keyed_request _ ->
       (* Servers never send requests; treat as a broken peer. *)
       drop t.conns.(i)
-    | Codec.Reply { rt = rt'; client = _; server = _; rep } ->
-      accept i rt' None rep
-    | Codec.Keyed_reply { key = key'; rt = rt'; client = _; server = _; rep }
-      ->
-      accept i rt' (Some key') rep
+    | Codec.Reply { rt; client = _; server = _; rep } -> offer i rt None rep
+    | Codec.Keyed_reply { key; rt; client = _; server = _; rep } ->
+      offer i rt (Some key) rep
   in
-  let attempt = ref 0 in
-  let broadcast () =
+  let broadcast ~salt =
     Array.iteri
       (fun i c ->
-        if (not replied.(i)) && not sent.(i) then
+        if (not (Protocol.Round.replied t.round i)) && not sent.(i) then
           match try_connect t c with
           | None -> ()
           | Some _ -> (
@@ -268,7 +216,7 @@ let sockets_exec ?key t req k =
                  down instead of wedging them. *)
               let ds =
                 Faults.deliveries plan ~dir:Faults.To_server ~server:i
-                  ~client:t.client ~rt ~salt:!attempt
+                  ~client:t.client ~rt ~salt
               in
               if ds = [] then sent.(i) <- true (* lost on the wire *)
               else
@@ -279,8 +227,9 @@ let sockets_exec ?key t req k =
                          link must not push back the send time to the
                          later servers of the round.  Copied because
                          [t.out] is reused by the next operation. *)
-                      stage t ~due:(now () +. after) (Bytes.sub t.out 0 len) i
-                        truncated;
+                      t.staged <-
+                        Deadline_queue.add t.staged ~due:(now () +. after)
+                          (Bytes.sub t.out 0 len, i, truncated);
                       sent.(i) <- true
                     end
                     else if truncated then begin
@@ -314,63 +263,56 @@ let sockets_exec ?key t req k =
         | _ -> ())
       t.conns
   in
-  broadcast ();
-  let deadline = ref (now () +. t.rt_timeout) in
-  let give_up = ref false in
-  while !nreplies < t.quorum && not !give_up do
-    let remaining = !deadline -. now () in
-    if remaining <= 0.0 then begin
-      (* Round-trip timed out: re-broadcast to the servers that have not
-         replied (reconnecting if their link dropped), bounded. *)
-      if !attempt >= t.max_rt_retries then give_up := true
-      else begin
-        incr attempt;
-        t.retried <- t.retried + 1;
-        Array.fill sent 0 n false;
-        broadcast ();
-        deadline := now () +. t.rt_timeout
-      end
-    end
-    else begin
-      (* Keep nudging reconnects whose backoff gate has opened, and
-         fire any staged deliveries that have come due. *)
-      broadcast ();
-      drain_staged t;
-      (* Wait no longer than the nearest staged deadline (0.5 ms
-         floor), so parked frames go out on time instead of quantising
-         to the 50 ms poll tick. *)
-      let timeout =
-        let cap = Float.min remaining 0.05 in
-        match next_staged_due t with
-        | Some d -> Float.max 0.0005 (Float.min cap (d -. now ()))
-        | None -> cap
-      in
-      let live =
-        Array.to_list t.conns
-        |> List.filter_map (fun c -> c.fd)
-      in
-      if live = [] then Thread.delay (Float.min 0.01 timeout)
-      else
-        (* poll(2) via Netio, not [Unix.select]: descriptor numbers pass
-           1024 routinely once hundreds of clients each hold S sockets,
-           and select corrupts its fd_set beyond FD_SETSIZE.  EINTR
-           returns [[]]; a connection that died between listing and
-           polling is reported ready, and the read path drops it. *)
-        match Netio.wait_readable live timeout with
-        | [] -> ()
-        | fds -> read_ready fds
-    end
-  done;
-  if !nreplies >= t.quorum then begin
-    t.completed <- t.completed + 1;
-    k (List.rev !replies)
-  end
-  else
-    raise
-      (Unavailable
-         (Printf.sprintf
-            "client %d: %d/%d replies after %d attempts of %.3fs" t.client
-            !nreplies t.quorum (!attempt + 1) t.rt_timeout))
+  broadcast ~salt:0;
+  let rec loop () =
+    if not (Protocol.Round.complete t.round) then
+      let step, round = Protocol.Round.expire t.round ~now:(now ()) in
+      t.round <- round;
+      match step with
+      | Protocol.Round.Give_up -> ()
+      | Protocol.Round.Retry salt ->
+        (* Round-trip timed out: re-broadcast to the servers that have
+           not replied (reconnecting if their link dropped). *)
+        Array.fill sent 0 (Array.length sent) false;
+        broadcast ~salt;
+        loop ()
+      | Protocol.Round.Wait ->
+        (* Keep nudging reconnects whose backoff gate has opened, and
+           fire any staged deliveries that have come due. *)
+        broadcast ~salt:0;
+        drain_staged t;
+        (* Wait no longer than the nearest staged deadline (0.5 ms
+           floor), so parked frames go out on time instead of
+           quantising to the 50 ms poll tick. *)
+        let t_now = now () in
+        let cap =
+          Float.max 0.0 (Float.min (Protocol.Round.deadline t.round -. t_now) 0.05)
+        in
+        let due = Deadline_queue.next_due t.staged in
+        let timeout =
+          if due = infinity then cap
+          else Float.max 0.0005 (Float.min cap (due -. t_now))
+        in
+        let live = Array.to_list t.conns |> List.filter_map (fun c -> c.fd) in
+        (if live = [] then Thread.delay (Float.min 0.01 timeout)
+         else
+           (* poll(2) via Netio, not [Unix.select]: descriptor numbers
+              pass 1024 routinely once hundreds of clients each hold S
+              sockets, and select corrupts its fd_set beyond FD_SETSIZE.
+              EINTR returns [[]]; a connection that died between listing
+              and polling is reported ready, and the read path drops
+              it. *)
+           match Netio.wait_readable live timeout with
+           | [] -> ()
+           | fds -> read_ready fds);
+        loop ()
+  in
+  loop ();
+  let replies, round = Protocol.Round.close t.round in
+  t.round <- round;
+  match replies with
+  | Ok replies -> k replies
+  | Error msg -> raise (Unavailable msg)
 
 (* ------------------------------------------------------------------ *)
 (* The common face                                                     *)
@@ -389,19 +331,19 @@ let keyed_endpoint t ~key =
   { Client_core.exec = (fun req k -> exec ~key t req k) }
 
 let rounds_started = function
-  | Sockets s -> s.started
+  | Sockets s -> Protocol.Round.started s.round
   | Shared h -> Mux.rounds_started h
 
 let rounds_completed = function
-  | Sockets s -> s.completed
+  | Sockets s -> Protocol.Round.completed s.round
   | Shared h -> Mux.rounds_completed h
 
 let late_replies = function
-  | Sockets s -> s.late
+  | Sockets s -> Protocol.Round.late s.round
   | Shared h -> Mux.late_replies h
 
 let retries = function
-  | Sockets s -> s.retried
+  | Sockets s -> Protocol.Round.retried s.round
   | Shared h -> Mux.retries h
 
 let close = function

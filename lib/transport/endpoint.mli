@@ -6,7 +6,9 @@
     completion are counted late, exactly like the simulated endpoint.
     Each round trip has a timeout; on expiry the request is re-broadcast
     to the servers still missing (reconnecting dropped links) a bounded
-    number of times before {!Unavailable} is raised.  Connect failures
+    number of times before {!Unavailable} is raised.  Both planes
+    delegate these decisions to {!Protocol.Round}, so they count the
+    same replies the same way.  Connect failures
     back off exponentially and give up after a bounded number of
     consecutive attempts, so crashed servers cost a vanishing amount of
     effort — [t] real process kills are survivable as long as [S − t]
@@ -15,7 +17,7 @@
     Two data planes satisfy this contract:
 
     - {!create} — the private path: this client owns [S] sockets and
-      polls them with [select] inside each operation.  Simple, but
+      polls them with poll(2) inside each operation.  Simple, but
       [C × S] sockets and [C] poll loops at [C] clients.
     - {!of_mux} — the multiplexed path ({!Mux}): all clients in the
       process share one connection per server; replies are routed to
@@ -84,8 +86,11 @@ val rounds_started : t -> int
 val rounds_completed : t -> int
 
 val late_replies : t -> int
-(** Replies that arrived after their round trip had already completed —
-    the live analogue of the simulator's late-message count. *)
+(** Replies for a round trip that was no longer open, duplicates, and
+    stragglers past the quorum ({!Protocol.Round.Late}) — the live
+    analogue of the simulator's late-message count.  A reply with the
+    open round's id but another register key is not late: the mux
+    counts it in {!Mux.dropped_replies}. *)
 
 val retries : t -> int
 (** Re-broadcasts issued after a round-trip timeout — 0 on a clean run,

@@ -19,7 +19,7 @@
       server;
     - the server ({!Server}) consults the [From_server] direction
       before sending each reply frame.  A delayed reply parks on the
-      owning reactor shard's timer list (there are no delayer threads):
+      owning reactor shard's timer queue (there are no delayer threads):
       the shard's poll timeout shrinks to the nearest deadline, and the
       frame is appended to the connection's out-queue when it fires —
       or silently dropped if the connection died first, which is also a

@@ -31,14 +31,13 @@ type conn = {
   mutable flushing : bool;
   mutable staging : Bytes.t; (* flusher-owned swap space, reused *)
   (* Frames a fault plan scheduled for later delivery on this link:
-     (due, payload copy, truncated), sorted by deadline, guarded by
-     [lock].  Senders park here and move on — a delay scoped to one
+     (payload copy, truncated), guarded by [lock].  Senders park here and move on — a delay scoped to one
      (client, server) link must never stall another client's batch or
      the rest of a fan-out.  Due entries are merged into the next flush
      and swept by the ticker (at sub-tick granularity when the plan has
      delay rules); there are no delayer threads, mirroring the server
-     reactor's timer list. *)
-  mutable delayed : (float * Bytes.t * bool) list;
+     reactor's timer queue. *)
+  mutable delayed : (Bytes.t * bool) Deadline_queue.t;
   mutable fd : Unix.file_descr option;
   mutable attempts : int; (* consecutive failed connects *)
   mutable next_attempt : float; (* wall-clock gate for the next connect *)
@@ -48,22 +47,11 @@ type mailbox = {
   client : int;
   mb_lock : Mutex.t;
   mb_cond : Condition.t;
-  (* State of the (single) in-flight round trip.  [mb_rt = -1] means no
-     round trip is open: anything routed then is late.  [mb_key] is the
-     open round trip's register key ([None] = the default register): a
-     reply whose key differs cannot count toward this quorum and is
-     dropped, never delivered. *)
-  mutable mb_rt : int;
-  mutable mb_key : string option;
-  mb_from : bool array; (* per-server dedup for the open round trip *)
-  mutable mb_replies : (int * Wire.rep) list; (* newest first *)
-  mutable mb_n : int;
-  mutable mb_late : int;
-  mutable mb_next_rt : int;
-  mutable mb_deadline : float; (* ticker wakes the waiter only past this *)
-  mutable mb_started : int;
-  mutable mb_completed : int;
-  mutable mb_retried : int; (* re-broadcasts after a round-trip timeout *)
+  (* This client's round trips (one open at a time) and their
+     counters, guarded by [mb_lock]: the demux threads offer replies,
+     the ticker reads the deadline, the client thread opens, retries and
+     closes. *)
+  mutable mb_round : Wire.rep Protocol.Round.t;
   (* Reused send path: the frame is encoded once per operation into
      [enc], blitted into [out], and the same bytes go to every
      connection — allocation-free once both have reached steady size. *)
@@ -88,9 +76,9 @@ type t = {
   routes_lock : Mutex.t;
   (* Replies that matched no open round trip at all: unknown client
      (handle released, or a peer inventing ids) or a key mismatch on the
-     open round.  Distinct from [mb_late] — a late reply belongs to a
-     round this client really ran; a dropped one could never have been
-     delivered anywhere. *)
+     open round ({!Protocol.Round.Foreign}).  Distinct from late replies
+     — a late reply belongs to a round this client really ran; a dropped
+     one could never have been delivered anywhere. *)
   dropped : int Atomic.t;
   mutable demuxers : Thread.t list; (* joined on shutdown *)
   mutable ticker : Thread.t option;
@@ -114,27 +102,19 @@ let route t ~server_index ~client ~rt ~key rep =
     Atomic.incr t.dropped
   | Some mb ->
     Mutex.protect mb.mb_lock (fun () ->
-        if mb.mb_rt = rt then begin
-          if key <> mb.mb_key then
-            (* Same round-trip id, wrong register: a stale or corrupt
-               key route.  Counting it toward the quorum would hand the
-               waiter another key's value — drop it instead, and never
-               touch the dedup/reply state, so the real replies still
-               complete the round (no wedge). *)
-            Atomic.incr t.dropped
-          else if not mb.mb_from.(server_index) then begin
-            mb.mb_from.(server_index) <- true;
-            mb.mb_replies <- (server_index, rep) :: mb.mb_replies;
-            mb.mb_n <- mb.mb_n + 1;
-            (* Quorum-gated wake-up: replies below the quorum cannot
-               unblock the waiter, so signalling them would only burn a
-               scheduler pass per straggler.  The ticker covers timeout
-               detection for rounds that never get there. *)
-            if mb.mb_n >= t.quorum then Condition.signal mb.mb_cond
-          end
-          else mb.mb_late <- mb.mb_late + 1
-        end
-        else mb.mb_late <- mb.mb_late + 1)
+        let verdict, round =
+          Protocol.Round.offer mb.mb_round ~server:server_index ~rt ~key rep
+        in
+        mb.mb_round <- round;
+        match verdict with
+        | Protocol.Round.Quorum ->
+          (* Quorum-gated wake-up: replies below the quorum cannot
+             unblock the waiter, so signalling them would only burn a
+             scheduler pass per straggler.  The ticker covers timeout
+             detection for rounds that never get there. *)
+          Condition.signal mb.mb_cond
+        | Protocol.Round.Foreign -> Atomic.incr t.dropped
+        | Protocol.Round.Counted | Protocol.Round.Late -> ())
 
 (* The demux thread owns [fd] for the life of one connection: it is the
    only reader, and on any failure it severs the connection — but only
@@ -274,12 +254,12 @@ let enqueue t c bytes len =
            sever the link after sending and cannot ride a batch. *)
         let t_now = now () in
         let rec merge () =
-          match c.delayed with
-          | (due, payload, false) :: rest when due <= t_now ->
+          match Deadline_queue.pop_due c.delayed ~now:t_now with
+          | Some ((payload, false), rest) ->
             Buffer.add_bytes c.out payload;
             c.delayed <- rest;
             merge ()
-          | [] | (_, _, _) :: _ -> ()
+          | Some ((_, true), _) | None -> ()
         in
         merge ();
         let blen = Buffer.length c.out in
@@ -321,54 +301,36 @@ let sever c =
         try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
       | None -> ())
 
-(* Park one scheduled delivery on the link's deadline queue (sorted
-   insert; queues hold a handful of frames, the reactor's timer-list
-   idiom).  The payload is the caller's copy — senders reuse their
-   encode staging. *)
-let stage_delayed c ~due payload truncated =
-  Mutex.protect c.lock (fun () ->
-      let rec ins = function
-        | [] -> [ (due, payload, truncated) ]
-        | ((d, _, _) :: _) as l when due < d -> (due, payload, truncated) :: l
-        | e :: rest -> e :: ins rest
-      in
-      c.delayed <- ins c.delayed)
-
 (* Deliver every staged frame whose deadline has passed.  Entries are
    popped under [c.lock] but sent outside it ([enqueue] takes the lock
    itself); a truncated delivery sends its prefix then severs the link,
    as in the immediate path. *)
-let drain_delayed t c t_now =
+let rec drain_delayed t c t_now =
   let due =
     Mutex.protect c.lock (fun () ->
-        let rec split acc l =
-          match l with
-          | (d, payload, tr) :: rest when d <= t_now ->
-            split ((payload, tr) :: acc) rest
-          | [] | (_, _, _) :: _ ->
-            c.delayed <- l;
-            List.rev acc
-        in
-        split [] c.delayed)
+        match Deadline_queue.pop_due c.delayed ~now:t_now with
+        | Some (entry, rest) ->
+          c.delayed <- rest;
+          Some entry
+        | None -> None)
   in
-  List.iter
-    (fun (payload, truncated) ->
-      let len = Bytes.length payload in
-      if truncated then begin
-        ignore (enqueue t c payload (max 1 (len / 2)));
-        sever c
-      end
-      else ignore (enqueue t c payload len))
-    due
+  match due with
+  | None -> ()
+  | Some (payload, truncated) ->
+    let len = Bytes.length payload in
+    if truncated then begin
+      ignore (enqueue t c payload (max 1 (len / 2)));
+      sever c
+    end
+    else ignore (enqueue t c payload len);
+    drain_delayed t c t_now
 
 (* Nearest staged deadline across every link; [infinity] when idle. *)
 let next_delayed_due t =
   Array.fold_left
     (fun acc c ->
       Mutex.protect c.lock (fun () ->
-          match c.delayed with
-          | (d, _, _) :: _ -> Float.min acc d
-          | [] -> acc))
+          Float.min acc (Deadline_queue.next_due c.delayed)))
     infinity t.conns
 
 (* ------------------------------------------------------------------ *)
@@ -416,7 +378,7 @@ let ticker_body t () =
                  out; broadcasting every tick would drag every blocked
                  client through the scheduler 20 times a second for
                  nothing. *)
-              if mb.mb_rt >= 0 && t_now >= mb.mb_deadline then
+              if t_now >= Protocol.Round.deadline mb.mb_round then
                 Condition.broadcast mb.mb_cond))
         mbs
     end
@@ -440,7 +402,7 @@ let create ?(rt_timeout = 1.0) ?(max_rt_retries = 3) ?(connect_retries = 8)
               out = Buffer.create 4096;
               flushing = false;
               staging = Bytes.create 4096;
-              delayed = [];
+              delayed = Deadline_queue.empty;
               fd = None;
               attempts = 0;
               next_attempt = 0.0;
@@ -475,17 +437,9 @@ let client t ~client =
       client;
       mb_lock = Mutex.create ();
       mb_cond = Condition.create ();
-      mb_rt = -1;
-      mb_key = None;
-      mb_from = Array.make (Array.length t.conns) false;
-      mb_replies = [];
-      mb_n = 0;
-      mb_late = 0;
-      mb_next_rt = 0;
-      mb_deadline = infinity;
-      mb_started = 0;
-      mb_completed = 0;
-      mb_retried = 0;
+      mb_round =
+        Protocol.Round.create ~client ~quorum:t.quorum ~timeout:t.rt_timeout
+          ~max_retries:t.max_rt_retries;
       mb_enc = Buffer.create 256;
       mb_out = Bytes.create 256;
     }
@@ -533,18 +487,10 @@ let exec ?key h req k =
   let t = h.mux and mb = h.mb in
   let rt =
     Mutex.protect mb.mb_lock (fun () ->
-        let rt = mb.mb_next_rt in
-        mb.mb_next_rt <- rt + 1;
-        mb.mb_started <- mb.mb_started + 1;
+        let rt, round = Protocol.Round.open_ mb.mb_round ~now:(now ()) ~key in
+        mb.mb_round <- round;
         rt)
   in
-  Mutex.protect mb.mb_lock (fun () ->
-      mb.mb_rt <- rt;
-      mb.mb_key <- key;
-      Array.fill mb.mb_from 0 (Array.length mb.mb_from) false;
-      mb.mb_replies <- [];
-      mb.mb_n <- 0;
-      mb.mb_deadline <- now () +. t.rt_timeout);
   (* Encode once; the same bytes go out on all S shared connections. *)
   let frame =
     match key with
@@ -556,14 +502,14 @@ let exec ?key h req k =
   if len > Bytes.length mb.mb_out then
     mb.mb_out <- Bytes.create (max len (2 * Bytes.length mb.mb_out));
   Buffer.blit mb.mb_enc 0 mb.mb_out 0 len;
-  let attempt = ref 0 in
-  let broadcast () =
+  let broadcast ~salt =
+    (* A snapshot of the round: a server that replies while the fan-out
+       runs gets a duplicate request, and replica operations are
+       idempotent. *)
+    let round = Mutex.protect mb.mb_lock (fun () -> mb.mb_round) in
     Array.iter
       (fun c ->
-        (* Racy read of [mb_from] outside the mailbox lock: the worst
-           case is a duplicate send to a server that replied this very
-           instant, and replica operations are idempotent. *)
-        if not mb.mb_from.(c.index) then
+        if not (Protocol.Round.replied round c.index) then
           match t.faults with
           | None -> ignore (enqueue t c mb.mb_out len)
           | Some plan ->
@@ -571,7 +517,7 @@ let exec ?key h req k =
                afresh on the next re-broadcast. *)
             let ds =
               Faults.deliveries plan ~dir:Faults.To_server ~server:c.index
-                ~client:mb.client ~rt ~salt:!attempt
+                ~client:mb.client ~rt ~salt
             in
             List.iter
               (fun { Faults.after; truncated } ->
@@ -581,8 +527,10 @@ let exec ?key h req k =
                      stall other clients' batches or the rest of this
                      fan-out.  The payload is copied because [mb.mb_out]
                      is reused by the next operation. *)
-                  stage_delayed c ~due:(now () +. after)
-                    (Bytes.sub mb.mb_out 0 len) truncated
+                  let entry = (Bytes.sub mb.mb_out 0 len, truncated) in
+                  Mutex.protect c.lock (fun () ->
+                      c.delayed <-
+                        Deadline_queue.add c.delayed ~due:(now () +. after) entry)
                 else if truncated then begin
                   ignore (enqueue t c mb.mb_out (max 1 (len / 2)));
                   sever c
@@ -591,53 +539,34 @@ let exec ?key h req k =
               ds)
       t.conns
   in
-  broadcast ();
+  broadcast ~salt:0;
   let give_up = ref false in
   Mutex.lock mb.mb_lock;
-  while mb.mb_n < t.quorum && not !give_up do
+  while not (Protocol.Round.complete mb.mb_round || !give_up) do
     Condition.wait mb.mb_cond mb.mb_lock;
-    if mb.mb_n < t.quorum && now () >= mb.mb_deadline then begin
+    let step, round = Protocol.Round.expire mb.mb_round ~now:(now ()) in
+    mb.mb_round <- round;
+    match step with
+    | Protocol.Round.Wait -> ()
+    | Protocol.Round.Give_up -> give_up := true
+    | Protocol.Round.Retry salt ->
       (* Round-trip timed out: re-broadcast to the servers still
-         missing (reconnecting dropped links), bounded. *)
-      if !attempt >= t.max_rt_retries then give_up := true
-      else begin
-        incr attempt;
-        mb.mb_retried <- mb.mb_retried + 1;
-        Mutex.unlock mb.mb_lock;
-        broadcast ();
-        Mutex.lock mb.mb_lock;
-        mb.mb_deadline <- now () +. t.rt_timeout
-      end
-    end
+         missing (reconnecting dropped links). *)
+      Mutex.unlock mb.mb_lock;
+      broadcast ~salt;
+      Mutex.lock mb.mb_lock
   done;
-  let nreplies = mb.mb_n in
-  let replies = List.rev mb.mb_replies in
-  mb.mb_rt <- -1;
-  mb.mb_key <- None;
-  mb.mb_deadline <- infinity;
-  mb.mb_replies <- [];
+  let replies, round = Protocol.Round.close mb.mb_round in
+  mb.mb_round <- round;
   Mutex.unlock mb.mb_lock;
-  if nreplies >= t.quorum then begin
-    Mutex.protect mb.mb_lock (fun () ->
-        mb.mb_completed <- mb.mb_completed + 1);
-    k replies
-  end
-  else
-    raise
-      (Unavailable
-         (Printf.sprintf "client %d: %d/%d replies after %d attempts of %.3fs"
-            mb.client nreplies t.quorum (!attempt + 1) t.rt_timeout))
+  match replies with
+  | Ok replies -> k replies
+  | Error msg -> raise (Unavailable msg)
 
-let rounds_started h =
-  Mutex.protect h.mb.mb_lock (fun () -> h.mb.mb_started)
-
-let rounds_completed h =
-  Mutex.protect h.mb.mb_lock (fun () -> h.mb.mb_completed)
-
-let late_replies h =
-  Mutex.protect h.mb.mb_lock (fun () -> h.mb.mb_late)
-
-let retries h =
-  Mutex.protect h.mb.mb_lock (fun () -> h.mb.mb_retried)
+let with_round h f = Mutex.protect h.mb.mb_lock (fun () -> f h.mb.mb_round)
+let rounds_started h = with_round h Protocol.Round.started
+let rounds_completed h = with_round h Protocol.Round.completed
+let late_replies h = with_round h Protocol.Round.late
+let retries h = with_round h Protocol.Round.retried
 
 let dropped_replies t = Atomic.get t.dropped

@@ -3,7 +3,7 @@
 
     The per-client-socket transport ({!Endpoint.create}) opens [C × S]
     sockets for [C] clients against [S] servers and spins a fresh
-    [select] poll loop inside every operation.  At production client
+    poll loop inside every operation.  At production client
     counts that drowns the paper's round-trip economics in transport
     overhead.  The mux replaces it with:
 
@@ -11,15 +11,15 @@
       with a reused encode buffer (no per-frame allocation once warm);
     - one demux reader thread per connection that decodes [Reply] frames
       and routes them by [(client, rt)] into per-client mailboxes
-      (mutex + condvar) — no [select], no per-iteration fd scans;
+      (mutex + condvar) — no poll loop, no per-iteration fd scans;
     - {!exec} = encode once, enqueue on the [S] shared connections,
       block on the caller's own mailbox until quorum or timeout.
 
-    The round-trip contract is unchanged from {!Endpoint}: broadcast to
-    all [S] servers, complete on the first [S − t] replies in arrival
-    order, count stragglers late, re-broadcast on timeout a bounded
-    number of times, raise {!Unavailable} when the retry budget is
-    spent.  Crashed servers sever their connection (the demux thread
+    The round-trip contract is {!Protocol.Round}, the same machine
+    {!Endpoint} drives: broadcast to all [S] servers, complete on the
+    first [S − t] replies in arrival order, count stragglers late,
+    re-broadcast on timeout a bounded number of times, raise
+    {!Unavailable} when the retry budget is spent.  Crashed servers sever their connection (the demux thread
     sees EOF) and reconnects back off exponentially, so [t] real kills
     remain survivable.
 
@@ -75,7 +75,8 @@ val rounds_started : handle -> int
 val rounds_completed : handle -> int
 
 val late_replies : handle -> int
-(** Replies that arrived after their round trip had completed. *)
+(** Replies classified {!Protocol.Round.Late}: for a round that was no
+    longer open, duplicates, and stragglers past the quorum. *)
 
 val retries : handle -> int
 (** Re-broadcasts issued after a round-trip timeout. *)

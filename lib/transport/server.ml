@@ -67,11 +67,11 @@ type conn = {
 }
 
 (* A delayed reply delivery (fault plan): encoded bytes parked on the
-   owning shard's timer list instead of a delayer thread's stack.  The
+   owning shard's timer queue instead of a delayer thread's stack.  The
    shard's poll timeout shrinks to the nearest deadline, and a timer
    whose connection died meanwhile just drops the frame — also a legal
    behaviour of the link being modelled. *)
-type timer = { due : float; tkey : int; payload : string }
+type timer = { tkey : int; payload : string }
 
 type shard = {
   snum : int;
@@ -81,7 +81,7 @@ type shard = {
   lock : Mutex.t; (* guards [inbox] only *)
   mutable inbox : Unix.file_descr list; (* conns handed over by shard 0 *)
   conns : (int, conn) Hashtbl.t; (* shard-thread private *)
-  mutable timers : timer list; (* sorted by [due]; shard-thread private *)
+  mutable timers : timer Deadline_queue.t; (* shard-thread private *)
   rbuf : Bytes.t;
   reply_buf : Buffer.t;
   frame_buf : Buffer.t;
@@ -166,14 +166,6 @@ let rec flush t sh c =
       end
     | exception Unix.Unix_error _ -> close_conn t sh c
 
-let add_timer sh tm =
-  let rec ins = function
-    | [] -> [ tm ]
-    | hd :: _ as l when tm.due < hd.due -> tm :: l
-    | hd :: tl -> hd :: ins tl
-  in
-  sh.timers <- ins sh.timers
-
 (* Run one wakeup's worth of decoded requests through the replica under
    a single lock acquisition (the batch fast path for multiplexed client
    connections), decide each reply frame's fate under the fault plan,
@@ -225,12 +217,9 @@ let process_requests t sh c requests =
                 c.sever <- true
               end
               else if after > 0.0 then
-                add_timer sh
-                  {
-                    due = Clock.now () +. after;
-                    tkey = c.ckey;
-                    payload = Codec.encode frame;
-                  }
+                sh.timers <-
+                  Deadline_queue.add sh.timers ~due:(Clock.now () +. after)
+                    { tkey = c.ckey; payload = Codec.encode frame }
               else begin
                 Codec.encode_into sh.frame_buf frame;
                 Buffer.add_buffer sh.reply_buf sh.frame_buf
@@ -241,23 +230,20 @@ let process_requests t sh c requests =
   if Buffer.length sh.reply_buf > 0 then Outq.add_buffer c.outq sh.reply_buf;
   if c.outq.Outq.len > outq_limit then close_conn t sh c else flush t sh c
 
-let fire_timers t sh now =
-  let rec go () =
-    match sh.timers with
-    | tm :: rest when tm.due <= now ->
-      sh.timers <- rest;
-      (match Hashtbl.find_opt sh.conns tm.tkey with
-      | None -> () (* the connection died while the frame was in flight *)
-      | Some c ->
-        if not c.sever then begin
-          Outq.add_string c.outq tm.payload;
-          if c.outq.Outq.len > outq_limit then close_conn t sh c
-          else flush t sh c
-        end);
-      go ()
-    | _ -> ()
-  in
-  go ()
+let rec fire_timers t sh now =
+  match Deadline_queue.pop_due sh.timers ~now with
+  | None -> ()
+  | Some (tm, rest) ->
+    sh.timers <- rest;
+    (match Hashtbl.find_opt sh.conns tm.tkey with
+    | None -> () (* the connection died while the frame was in flight *)
+    | Some c ->
+      if not c.sever then begin
+        Outq.add_string c.outq tm.payload;
+        if c.outq.Outq.len > outq_limit then close_conn t sh c
+        else flush t sh c
+      end);
+    fire_timers t sh now
 
 (* Readable event: drain the socket to EAGAIN through the incremental
    decoder, then process every complete frame as one batch.  Frames
@@ -359,9 +345,8 @@ let shard_loop t sh =
   let listen_key = if sh.snum = 0 then Netio.fd_int t.listen_fd else -1 in
   while not (Atomic.get t.stopping) do
     let timeout =
-      match sh.timers with
-      | [] -> tick
-      | tm :: _ -> Float.max 0.0 (Float.min tick (tm.due -. Clock.now ()))
+      Float.max 0.0
+        (Float.min tick (Deadline_queue.next_due sh.timers -. Clock.now ()))
     in
     ignore
       (Netio.Poller.wait sh.poller ~timeout
@@ -427,7 +412,7 @@ let start ?(host = "127.0.0.1") ?(port = 0) ?(id = 0) ?(shards = 1) ?faults
       lock = Mutex.create ();
       inbox = [];
       conns = Hashtbl.create 64;
-      timers = [];
+      timers = Deadline_queue.empty;
       rbuf = Bytes.create 65536;
       reply_buf = Buffer.create 4096;
       frame_buf = Buffer.create 512;

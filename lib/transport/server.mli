@@ -40,7 +40,7 @@ val start :
     [shards] (default 1) is the number of reactor event loops.
     [faults] subjects every reply frame to the plan's [From_server]
     rules: drops and blackouts lose it, delays park it on the owning
-    shard's timer list and deliver it late, duplicates send it twice,
+    shard's timer queue and deliver it late, duplicates send it twice,
     truncation tears the frame mid-byte and severs the connection.
     [keyspace] (default fresh and empty) answers keyed requests: a
     [Codec.Keyed_request] dispatches to the named per-key replica, under
