@@ -130,6 +130,174 @@ let test_quorum_validation () =
      with Invalid_argument _ -> true)
 
 (* ------------------------------------------------------------------ *)
+(* Round: the machine against a list-based reference                    *)
+(* ------------------------------------------------------------------ *)
+
+(* One client's script: open rounds, offer replies (a round-id offset
+   from the newest round, and whether the key matches that round's),
+   let time pass, close. *)
+type round_event =
+  | Open of string option
+  | Offer of { server : int; rt_offset : int; same_key : bool }
+  | Advance of float
+  | Close
+
+type round_outcome =
+  | Closed of (int * int) list option (* accepted replies; None: failed *)
+  | Stepped of Round.step
+
+let other_key = function Some "a" -> Some "b" | _ -> Some "a"
+let round_servers = 4
+let round_timeout = 1.0
+
+(* The reference keeps, for the open round, the list of replies that
+   matched its id and key, and recomputes the accepted set from it: the
+   first [quorum] distinct servers in arrival order.  Everything else
+   it was offered is late once the round ends. *)
+let reference ~quorum ~max_retries events =
+  let now = ref 0.0 and next_rt = ref 0 and last_key = ref None in
+  let cur = ref None and offered = ref [] (* oldest first *) in
+  let attempt = ref 0 and deadline = ref infinity in
+  let late = ref 0 and foreign = ref 0 and retried = ref 0 in
+  let completed = ref 0 and out = ref [] in
+  let accepted () =
+    List.fold_left
+      (fun acc (s, v) ->
+        if List.length acc = quorum || List.mem_assoc s acc then acc
+        else acc @ [ (s, v) ])
+      [] !offered
+  in
+  let finish () =
+    late := !late + List.length !offered - List.length (accepted ());
+    cur := None;
+    offered := []
+  in
+  let close () =
+    let acc = accepted () in
+    finish ();
+    if List.length acc = quorum then begin
+      incr completed;
+      out := Closed (Some acc) :: !out
+    end
+    else out := Closed None :: !out
+  in
+  List.iteri
+    (fun v ev ->
+      match ev with
+      | Open key ->
+        if !cur <> None then finish ();
+        cur := Some (!next_rt, key);
+        last_key := key;
+        incr next_rt;
+        attempt := 0;
+        deadline := !now +. round_timeout
+      | Offer { server; rt_offset; same_key } -> (
+        let rt = !next_rt - 1 + rt_offset in
+        let key = if same_key then !last_key else other_key !last_key in
+        match !cur with
+        | Some (crt, ckey) when crt = rt ->
+          if key <> ckey then incr foreign
+          else offered := !offered @ [ (server, v) ]
+        | Some _ | None -> incr late)
+      | Advance dt ->
+        now := !now +. dt;
+        let step =
+          if !cur = None || List.length (accepted ()) >= quorum || !now < !deadline
+          then Round.Wait
+          else if !attempt >= max_retries then Round.Give_up
+          else begin
+            incr attempt;
+            incr retried;
+            deadline := !now +. round_timeout;
+            Round.Retry !attempt
+          end
+        in
+        out := Stepped step :: !out;
+        if step = Round.Give_up then close ()
+      | Close -> if !cur <> None then close ())
+    events;
+  let open_late = List.length !offered - List.length (accepted ()) in
+  ( List.rev !out,
+    (!next_rt, !completed, !late + open_late, !foreign, !retried) )
+
+(* The same script through the machine, driven the way the planes
+   drive it: give-up closes the round at once. *)
+let machine ~quorum ~max_retries events =
+  let r =
+    ref (Round.create ~client:0 ~quorum ~timeout:round_timeout ~max_retries)
+  in
+  let now = ref 0.0 and last_key = ref None and is_open = ref false in
+  let out = ref [] in
+  let close () =
+    let res, r' = Round.close !r in
+    r := r';
+    is_open := false;
+    out := Closed (Result.to_option res) :: !out
+  in
+  List.iteri
+    (fun v ev ->
+      match ev with
+      | Open key ->
+        let _, r' = Round.open_ !r ~now:!now ~key in
+        r := r';
+        last_key := key;
+        is_open := true
+      | Offer { server; rt_offset; same_key } ->
+        let rt = Round.started !r - 1 + rt_offset in
+        let key = if same_key then !last_key else other_key !last_key in
+        r := snd (Round.offer !r ~server ~rt ~key v)
+      | Advance dt ->
+        now := !now +. dt;
+        let step, r' = Round.expire !r ~now:!now in
+        r := r';
+        out := Stepped step :: !out;
+        if step = Round.Give_up then close ()
+      | Close -> if !is_open then close ())
+    events;
+  let r = !r in
+  ( List.rev !out,
+    (Round.started r, Round.completed r, Round.late r, Round.foreign r,
+     Round.retried r) )
+
+let round_script_gen =
+  let open QCheck.Gen in
+  let event =
+    frequency
+      [
+        (2, map (fun k -> Open k) (oneofl [ None; Some "a"; Some "b" ]));
+        ( 10,
+          map3
+            (fun server rt_offset same_key -> Offer { server; rt_offset; same_key })
+            (int_bound (round_servers - 1))
+            (frequency [ (6, return 0); (1, return (-1)); (1, return 1) ])
+            (frequency [ (5, return true); (1, return false) ]) );
+        (3, map (fun dt -> Advance dt) (oneofl [ 0.3; 0.7; 1.0; 1.5 ]));
+        (1, return Close);
+      ]
+  in
+  triple (int_range 1 round_servers) (int_bound 3) (list_size (int_range 0 60) event)
+
+let round_matches_reference =
+  QCheck.Test.make ~count:2000 ~name:"Round agrees with the list reference"
+    (QCheck.make round_script_gen)
+    (fun (quorum, max_retries, events) ->
+      machine ~quorum ~max_retries events = reference ~quorum ~max_retries events)
+
+let test_round_unavailable_message () =
+  let r = Round.create ~client:7 ~quorum:3 ~timeout:0.5 ~max_retries:1 in
+  let _, r = Round.open_ r ~now:0.0 ~key:None in
+  let _, r = Round.offer r ~server:2 ~rt:0 ~key:None () in
+  let step, r = Round.expire r ~now:0.6 in
+  check bool "retry salted with attempt 1" true (step = Round.Retry 1);
+  let step, r = Round.expire r ~now:1.2 in
+  check bool "budget spent" true (step = Round.Give_up);
+  match Round.close r with
+  | Error msg, r ->
+    check Alcotest.string "message" "client 7: 1/3 replies after 2 attempts of 0.500s" msg;
+    check int "not completed" 0 (Round.completed r)
+  | Ok _, _ -> Alcotest.fail "closed without a quorum"
+
+(* ------------------------------------------------------------------ *)
 (* Env                                                                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -244,6 +412,11 @@ let () =
           tc "blocks without quorum" test_round_trip_blocks_without_quorum;
           tc "tolerates crash in budget" test_round_trip_tolerates_crash_within_budget;
           tc "quorum validation" test_quorum_validation;
+        ] );
+      ( "round",
+        [
+          QCheck_alcotest.to_alcotest round_matches_reference;
+          tc "unavailable message" test_round_unavailable_message;
         ] );
       ("env", [ tc "accessors and validation" test_env ]);
       ( "runtime",

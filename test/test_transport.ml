@@ -1033,6 +1033,96 @@ let test_endpoint_hol_across_servers () =
   Endpoint.close ep;
   Array.iter Server.stop servers
 
+(* A fake server that answers each of [rounds] keyed requests with a
+   fixed script of junk around the one real reply, then hangs up.  Both
+   planes read one connection's bytes in order, so every straggler of
+   round r is classified before round r+1's real reply arrives. *)
+let scripted_server ~rounds =
+  let listener = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.setsockopt listener Unix.SO_REUSEADDR true;
+  Unix.bind listener (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen listener 1;
+  let serve () =
+    let fd =
+      match Netio.accept_nb listener with
+      | Some fd -> fd
+      | None -> failwith "accept returned without a connection"
+    in
+    let st = Codec.Stream.create () and buf = Bytes.create 4096 in
+    let rec next_frame () =
+      match Codec.Stream.next st with
+      | Some f -> f
+      | None ->
+        let n = Netio.read fd buf 0 (Bytes.length buf) in
+        if n = 0 then failwith "client closed early";
+        Codec.Stream.feed st buf n;
+        next_frame ()
+    in
+    let reply ~key ~rt ~client =
+      Codec.encode
+        (Codec.Keyed_reply
+           { key; rt; client; server = 0;
+             rep = Wire.Write_ack { current = Wire.initial_value_entry } })
+    in
+    for r = 1 to rounds do
+      match next_frame () with
+      | Codec.Keyed_request { key; rt; client; _ } ->
+        if r < rounds then begin
+          (* foreign: the open round's id, another register *)
+          raw_send fd (reply ~key:(key ^ "-other") ~rt ~client);
+          (* late: a round id this client is not waiting on *)
+          raw_send fd (reply ~key ~rt:(rt + 100) ~client)
+        end;
+        raw_send fd (reply ~key ~rt ~client);
+        (* late: a duplicate past the quorum *)
+        if r < rounds then raw_send fd (reply ~key ~rt ~client)
+      | Codec.Request _ | Codec.Reply _ | Codec.Keyed_reply _ ->
+        failwith "expected a keyed request"
+    done;
+    Unix.close fd
+  in
+  (Unix.getsockname listener, listener, Thread.create serve ())
+
+let test_planes_count_late_alike () =
+  (* The same reply script against each plane: both must classify it
+     through the same round machine, so their late counts agree — the
+     wrong-key reply is foreign (a mux drop), never late. *)
+  let rounds = 4 in
+  let run_plane plane =
+    let addr, listener, server = scripted_server ~rounds in
+    Fun.protect ~finally:(fun () -> Thread.join server; Unix.close listener)
+    @@ fun () ->
+    let mux, ep =
+      match plane with
+      | `Sockets -> (None, Endpoint.create ~client:5 ~servers:[| addr |] ~quorum:1 ())
+      | `Mux ->
+        let mux = Mux.create ~servers:[| addr |] ~quorum:1 () in
+        (Some mux, Endpoint.of_mux (Mux.client mux ~client:5))
+    in
+    for _ = 1 to rounds do
+      Endpoint.exec ~key:"k" ep (Wire.Update (value 1 5 1)) (fun rs ->
+          check int "exactly the quorum delivered" 1 (List.length rs))
+    done;
+    let late = Endpoint.late_replies ep in
+    Endpoint.close ep;
+    let dropped =
+      match mux with
+      | Some m ->
+        let d = Mux.dropped_replies m in
+        Mux.shutdown m;
+        Some d
+      | None -> None
+    in
+    (late, dropped)
+  in
+  let sockets_late, _ = run_plane `Sockets in
+  let mux_late, mux_dropped = run_plane `Mux in
+  check int "sockets: stale round + duplicate per round" (2 * (rounds - 1))
+    sockets_late;
+  check int "planes agree on late replies" sockets_late mux_late;
+  check (Alcotest.option int) "mux drops the foreign replies" (Some (rounds - 1))
+    mux_dropped
+
 (* ------------------------------------------------------------------ *)
 (* Geo profiles: one geography, two compilations                        *)
 (* ------------------------------------------------------------------ *)
@@ -1273,6 +1363,8 @@ let () =
             `Quick test_mux_hol_isolation;
           Alcotest.test_case "delayed link does not block other servers"
             `Quick test_endpoint_hol_across_servers;
+          Alcotest.test_case "both planes count late replies alike" `Quick
+            test_planes_count_late_alike;
         ] );
       ( "live",
         [
