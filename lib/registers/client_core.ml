@@ -26,11 +26,6 @@ let read_acks replies =
       | Wire.Write_ack _ -> None)
     replies
 
-let max_current replies =
-  List.fold_left
-    (fun acc (_, current, _) -> Wire.value_max acc current)
-    Wire.initial_value_entry (read_acks replies)
-
 let ack_currents replies =
   List.filter_map
     (fun (_, rep) ->
@@ -38,6 +33,9 @@ let ack_currents replies =
       | Wire.Write_ack { current } -> Some current
       | Wire.Read_ack { current; _ } -> Some current)
     replies
+
+let max_current replies =
+  List.fold_left Wire.value_max Wire.initial_value_entry (ack_currents replies)
 
 (* The reader's valQueue is a recency window, mirroring the replica-side
    vector bound: only the [max_queue] largest values survive a merge.
@@ -134,9 +132,17 @@ let admissible ~s ~t ~value ~replies ~degree =
 
 let vector_values = all_values
 
+(* Round 1 is an UPDATE of the writer's last value, not a QUERY: the
+   ACK's [current] is all the writer needs, and a QUERY would enroll the
+   writer in the [updated] set of every value the server holds.  Only a
+   value's own writer and the readers told about it may appear there —
+   that is what bounds a certificate's degree by [R + 1].  A foreign
+   writer in the set lets a fast read certify an in-flight value with a
+   degree the next reader cannot reach, and the next read returns an
+   older value (a new-old inversion in the safe regime). *)
 let two_round_write ctx ~writer ~payload ~last_written ~k =
   let ep = ctx.writer_ep writer in
-  ep.exec (Wire.Query [ !last_written ]) (fun replies ->
+  ep.exec (Wire.Update !last_written) (fun replies ->
       let maxv = max_current replies in
       let tag = Tstamp.next maxv.Wire.tag ~wid:writer in
       let value = { Wire.tag; payload } in

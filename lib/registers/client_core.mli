@@ -48,7 +48,8 @@ val admissible :
     degrees), which the `fig9` experiment exploits. *)
 
 val max_current : (int * Wire.rep) list -> Wire.value
-(** Largest [valᵢ] among READACK replies (initial value if none). *)
+(** Largest [valᵢ] among the replies, READACK or ACK (initial value if
+    none). *)
 
 val vector_values : (int * Wire.rep) list -> Wire.value list
 (** All distinct values appearing in the replies' vectors, largest
@@ -70,11 +71,14 @@ val two_round_write :
   last_written:Wire.value ref ->
   k:(Checker.Mw_properties.tag option -> unit) ->
   unit
-(** Algorithm 1's writer: round 1 queries all servers (propagating the
-    writer's last written value, the paper's [(read, maxTS)] message) and
-    computes [maxTS]; round 2 updates [(maxTS + 1, wᵢ)] everywhere and
-    waits for [S − t] ACKs.  Non-concurrent writes thus obtain strictly
-    increasing timestamps (property MWA0). *)
+(** Algorithm 1's writer: round 1 propagates the writer's last written
+    value to all servers (the paper's [(read, maxTS)] message) and takes
+    [maxTS] from the ACKs; round 2 updates [(maxTS + 1, wᵢ)] everywhere
+    and waits for [S − t] ACKs.  Non-concurrent writes thus obtain
+    strictly increasing timestamps (property MWA0).  Round 1 is sent as
+    an [Update], so the writer never joins the [updated] sets of other
+    writers' values: a certificate names at most the value's writer and
+    the [R] readers. *)
 
 val one_round_write :
   ctx ->

@@ -108,13 +108,14 @@ let handle t ~client req =
        client-side queue cap; the window is re-enforced right after the
        snapshot. *)
     List.iter (fun v -> update_unpruned t v client) vq;
-    (* Record that this client is being told every value in the reply,
+    (* Record that this reader is being told every value in the reply,
        before replying — the rule the Appendix-A proofs rely on ("every
        server which replies to r₂ adds r₂ to its updated set before
        replying", used for arbitrary values in Lemmas 5 and 8).  Without
        it, a completed write is not admissible with degree 2 (MWA2
        breaks) and one read's certificate is invisible to later reads
-       (MWA4 breaks). *)
+       (MWA4 breaks).  Writers never query: their first round is an
+       Update, so they join only their own values' sets. *)
     Hashtbl.iter (fun _ e -> e.updated <- Iset.add client e.updated) t.vector;
     let rep =
       Wire.Read_ack { current = t.current; vector = snapshot_wire t ~client }

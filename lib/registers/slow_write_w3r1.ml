@@ -16,7 +16,9 @@ let new_writer (ctx : Client_core.ctx) ~writer =
   let ep = ctx.Client_core.writer_ep writer in
   let last_written = ref Wire.initial_value_entry in
   fun ~payload ~k ->
-    ep.Client_core.exec (Wire.Query [ !last_written ]) (fun replies ->
+    (* Round 1 as in {!Client_core.two_round_write}: an UPDATE, so the
+       writer never joins other values' [updated] sets. *)
+    ep.Client_core.exec (Wire.Update !last_written) (fun replies ->
         let maxv = Client_core.max_current replies in
         let tag = Tstamp.next maxv.Wire.tag ~wid:writer in
         let v = { Wire.tag; payload } in

@@ -20,12 +20,14 @@ val pp_value : Format.formatter -> value -> unit
 
 type req =
   | Query of value list
-      (** The reader's [(read, valQueue)] / the writer's [(read, maxTS)]
-          message: the server folds every carried value into its state
-          ({i before} replying — Algorithm 2, line 20) and answers with a
-          {!Read_ack}. *)
+      (** The reader's [(read, valQueue)] message: the server folds every
+          carried value into its state and enrolls the reader in every
+          value's [updated] set ({i before} replying — Algorithm 2, line
+          20), then answers with a {!Read_ack}. *)
   | Update of value
-      (** The [(write, val)] message; answered with a {!Write_ack}. *)
+      (** The [(write, val)] message, and the writer's [(read, maxTS)]
+          message (its last written value); answered with a
+          {!Write_ack} carrying the server's maximum. *)
 
 type rep =
   | Read_ack of {

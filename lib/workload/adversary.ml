@@ -92,9 +92,9 @@ let partition ~groups ~from_time ~until =
 
 (* Timing constants for unit latency: a round-trip started at time T has
    its requests arriving at T+1 and replies at T+2; the next round's
-   requests leave at T+2. *)
+   requests leave at T+2.  Writer 0's value reaches the block at 3. *)
 let w0_start = 0.0
-let w1_start = 10.0
+let ghost_start = 5.0
 let reader_gap = 10.0
 let readers_start = 30.0
 
@@ -102,12 +102,8 @@ let last_reader_start topology =
   readers_start +. (float_of_int topology.Topology.readers *. reader_gap) +. 50.0
 
 let certificate_starvation ~topology ~t () =
-  let block dst = dst < t in
+  let block node = Topology.is_server topology node && node < t in
   let w0 = Topology.writer_node topology 0 in
-  let w1 =
-    if topology.Topology.writers > 1 then Some (Topology.writer_node topology 1)
-    else None
-  in
   let last_reader =
     Topology.reader_node topology (topology.Topology.readers - 1)
   in
@@ -121,34 +117,29 @@ let certificate_starvation ~topology ~t () =
            && not (block dst)
         then Some Network.Hold
         else None);
-      (* Writer 1 never gets past its first round. *)
+      (* The last reader's first read is a ghost on the block: its query
+         lands there (enrolling it in v's updated set) but the block's
+         replies are held, so it never learns v. *)
       (fun ~src ~dst ~now ->
-        match w1 with
-        | Some w1 when src = w1 && Topology.is_server topology dst
-                       && now > w1_start +. 1.5 ->
+        if block src && dst = last_reader && now < readers_start then
           Some Network.Hold
-        | _ -> None);
-      (* The last reader skips the certificate block. *)
-      (fun ~src ~dst ~now:_ ->
-        if src = last_reader && Topology.is_server topology dst && block dst then
+        else None);
+      (* Its second read skips the block. *)
+      (fun ~src ~dst ~now ->
+        if src = last_reader && block dst && now >= readers_start then
           Some Network.Hold
         else None);
     ]
 
 let threshold_plans ~topology =
   let open Runtime in
-  let writers =
-    write_plan ~writer:0 ~start_at:w0_start 1
-    ::
-    (if topology.Topology.writers > 1 then [ write_plan ~writer:1 ~start_at:w1_start 1 ]
-     else [])
-  in
-  let readers =
-    List.init topology.Topology.readers (fun i ->
-        let start_at =
-          if i = topology.Topology.readers - 1 then last_reader_start topology
-          else readers_start +. (float_of_int i *. reader_gap)
-        in
-        read_plan ~reader:i ~start_at 1)
-  in
-  writers @ readers
+  let last = topology.Topology.readers - 1 in
+  write_plan ~writer:0 ~start_at:w0_start 1
+  :: List.init topology.Topology.readers (fun i ->
+         if i = last then
+           {
+             proc = Histories.Op.Reader i;
+             start_at = ghost_start;
+             steps = [ Read; Think (last_reader_start topology -. ghost_start -. 2.0); Read ];
+           }
+         else read_plan ~reader:i ~start_at:(readers_start +. (float_of_int i *. reader_gap)) 1)

@@ -60,14 +60,15 @@ val certificate_starvation : topology:Topology.t -> t:int -> unit -> t
     - writer 0's second-round updates reach only the first [t] servers
       (the {i certificate block}), so its value v₁ lives on [t] servers
       while the write stays in progress;
-    - writer 1 stays in its first round forever (its query still lands on
-      the block, enrolling w₁ in v₁'s [updated] set);
+    - the last reader's first read is a ghost on the block: its query
+      lands there, enrolling it in v₁'s [updated] set, but the block's
+      replies are held, so it never sees v₁;
     - readers 0 … R−2 read normally, each visit enrolling them in the
       block's [updated] set for v₁, until the set reaches R+1 clients —
       at which point the admissible predicate certifies v₁ from the
       block alone iff [R ≥ S/t − 2];
-    - the last reader reads while skipping the block and finds no trace
-      of v₁.
+    - the last reader reads again while skipping the block and finds no
+      trace of v₁.
 
     In the unsafe regime some reader returns v₁ and the last reader then
     returns the older value — a new/old inversion (MWA4).  In the safe
@@ -78,5 +79,5 @@ val certificate_starvation : topology:Topology.t -> t:int -> unit -> t
 
 val threshold_plans : topology:Topology.t -> Runtime.plan list
 (** The operation schedule matching {!certificate_starvation}: one write
-    per writer, one read per reader, timed so the filter windows land
-    between rounds. *)
+    by writer 0, one read per reader and a second one by the last
+    reader, timed so the filter windows land between rounds. *)

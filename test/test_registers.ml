@@ -247,6 +247,55 @@ let test_fastread_atomic_safe_regime () =
     assert_atomic_run "W2R1" (run_register ~seed Registry.fastread_w2r1)
   done
 
+(* A writer's first round must not enroll it in other writers' values:
+   a certificate may name only a value's writer and the readers told
+   about it, or its degree outgrows the R + 1 the predicate allows. *)
+let test_writer_round_one_does_not_enroll () =
+  let replicas = Array.init 5 (fun _ -> Replica.create ()) in
+  let v = { Wire.tag = Tstamp.next Tstamp.initial ~wid:0; payload = 1 } in
+  Array.iter (fun rep -> ignore (Replica.handle rep ~client:5 (Wire.Update v))) replicas;
+  let ep =
+    {
+      Client_core.exec =
+        (fun req k ->
+          k (List.init 4 (fun i -> (i, Replica.handle replicas.(i) ~client:6 req))));
+    }
+  in
+  let ctx = { Client_core.writer_ep = (fun _ -> ep); reader_ep = (fun _ -> ep); s = 5; t = 1; r = 2 } in
+  let tag = ref None in
+  Client_core.two_round_write ctx ~writer:1 ~payload:2
+    ~last_written:(ref Wire.initial_value_entry) ~k:(fun t -> tag := t);
+  check bool "the write learned the maximum" true
+    (match !tag with Some t -> Tstamp.compare t v.Wire.tag > 0 | None -> false);
+  check (Alcotest.list Alcotest.int) "writer 1 not enrolled in writer 0's value" [ 5 ]
+    (Replica.updated_set replicas.(0) v)
+
+(* A seeded random-skip run in the safe regime that used to end in a
+   new/old inversion: writer 1's first-round query enrolled it in writer
+   0's in-flight value, reader 0 certified that value with degree 3 from
+   two servers, and reader 1 — needing degree 4 > R + 1 — fell back to
+   the older value. *)
+let test_fastread_writer_enrollment_seed () =
+  let seed = 301092566 and w = 2 and r = 2 and ops = 3 in
+  let env =
+    Env.make ~seed ~latency:(Simulation.Latency.exponential ~mean:4.0) ~s:5 ~t:1 ~w ~r ()
+  in
+  let adversary =
+    Workload.Adversary.random_skips ~seed ~topology:env.Env.topology ~t_budget:1
+      ~window:30.0
+  in
+  let plans =
+    List.init w (fun i ->
+        Runtime.write_plan ~writer:i ~start_at:(float_of_int (3 * i))
+          ~think:(10.0 +. float_of_int (7 * i)) ops)
+    @ List.init r (fun i ->
+          Runtime.read_plan ~reader:i ~start_at:(1.0 +. float_of_int i)
+            ~think:(8.0 +. float_of_int (5 * i)) (2 * ops))
+  in
+  assert_atomic_run "W2R1 seed 301092566"
+    (Runtime.run ~register:Registry.fastread_w2r1 ~env ~plans
+       ~adversary:(Workload.Adversary.apply adversary) ())
+
 let test_abd_swmr_atomic () =
   let plans =
     [
@@ -377,6 +426,8 @@ let () =
         [
           tc "LS97 atomic" test_abd_mwmr_atomic;
           tc "W2R1 atomic in safe regime" test_fastread_atomic_safe_regime;
+          tc "writer round 1 does not enroll" test_writer_round_one_does_not_enroll;
+          tc "W2R1 writer-enrollment seed" test_fastread_writer_enrollment_seed;
           tc "ABD-SW atomic" test_abd_swmr_atomic;
           tc "DGLV atomic in safe regime" test_dglv_atomic_safe_regime;
           tc "single-writer guards" test_single_writer_protocols_reject_multi;
