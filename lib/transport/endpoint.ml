@@ -175,6 +175,7 @@ let sockets_exec ?key t req k =
   let rt, round = Protocol.Round.open_ t.round ~now:(now ()) ~key in
   t.round <- round;
   let sent = Array.make (Array.length t.conns) false in
+  let attempt = ref 0 in
   (* Encode once into the reused buffer; the same bytes go to every
      server. *)
   let frame =
@@ -200,7 +201,7 @@ let sockets_exec ?key t req k =
     | Codec.Keyed_reply { key; rt; client = _; server = _; rep } ->
       offer i rt (Some key) rep
   in
-  let broadcast ~salt =
+  let broadcast () =
     Array.iteri
       (fun i c ->
         if (not (Protocol.Round.replied t.round i)) && not sent.(i) then
@@ -216,7 +217,7 @@ let sockets_exec ?key t req k =
                  down instead of wedging them. *)
               let ds =
                 Faults.deliveries plan ~dir:Faults.To_server ~server:i
-                  ~client:t.client ~rt ~salt
+                  ~client:t.client ~rt ~salt:!attempt
               in
               if ds = [] then sent.(i) <- true (* lost on the wire *)
               else
@@ -263,23 +264,24 @@ let sockets_exec ?key t req k =
         | _ -> ())
       t.conns
   in
-  broadcast ~salt:0;
+  broadcast ();
   let rec loop () =
     if not (Protocol.Round.complete t.round) then
       let step, round = Protocol.Round.expire t.round ~now:(now ()) in
       t.round <- round;
       match step with
       | Protocol.Round.Give_up -> ()
-      | Protocol.Round.Retry salt ->
+      | Protocol.Round.Retry n ->
         (* Round-trip timed out: re-broadcast to the servers that have
            not replied (reconnecting if their link dropped). *)
+        attempt := n;
         Array.fill sent 0 (Array.length sent) false;
-        broadcast ~salt;
+        broadcast ();
         loop ()
       | Protocol.Round.Wait ->
         (* Keep nudging reconnects whose backoff gate has opened, and
            fire any staged deliveries that have come due. *)
-        broadcast ~salt:0;
+        broadcast ();
         drain_staged t;
         (* Wait no longer than the nearest staged deadline (0.5 ms
            floor), so parked frames go out on time instead of
