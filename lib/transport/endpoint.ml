@@ -5,11 +5,11 @@ open Registers
 exception Unavailable = Mux.Unavailable
 
 (* ------------------------------------------------------------------ *)
-(* The private per-client-socket path                                  *)
-(*                                                                     *)
-(* Each client owns S sockets and polls them (poll(2) via Netio) inside *)
-(* every operation.  Kept as the baseline the multiplexed plane is      *)
-(* measured against: bench `live` records both.                         *)
+(* The private per-client-socket path                                 *)
+(*                                                                    *)
+(* Each client owns S sockets and polls them (poll(2) via Netio)      *)
+(* inside every operation.  Kept as the baseline the multiplexed      *)
+(* plane is measured against: bench `live` records both.              *)
 (* ------------------------------------------------------------------ *)
 
 type conn = {
@@ -37,6 +37,7 @@ type sockets = {
      fan-out.  One client thread owns the endpoint, so no lock. *)
   mutable staged : (Bytes.t * int * bool) Deadline_queue.t;
 }
+
 type t =
   | Sockets of sockets
   | Shared of Mux.handle

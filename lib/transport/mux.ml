@@ -31,12 +31,12 @@ type conn = {
   mutable flushing : bool;
   mutable staging : Bytes.t; (* flusher-owned swap space, reused *)
   (* Frames a fault plan scheduled for later delivery on this link:
-     (payload copy, truncated), guarded by [lock].  Senders park here and move on — a delay scoped to one
-     (client, server) link must never stall another client's batch or
-     the rest of a fan-out.  Due entries are merged into the next flush
-     and swept by the ticker (at sub-tick granularity when the plan has
-     delay rules); there are no delayer threads, mirroring the server
-     reactor's timer queue. *)
+     (payload copy, truncated), guarded by [lock].  Senders park here
+     and move on — a delay scoped to one (client, server) link must
+     never stall another client's batch or the rest of a fan-out.  Due
+     entries are merged into the next flush and swept by the ticker (at
+     sub-tick granularity when the plan has delay rules); there are no
+     delayer threads, mirroring the server reactor's timer queue. *)
   mutable delayed : (Bytes.t * bool) Deadline_queue.t;
   mutable fd : Unix.file_descr option;
   mutable attempts : int; (* consecutive failed connects *)
