@@ -1090,30 +1090,29 @@ let test_planes_count_late_alike () =
   let rounds = 4 in
   let run_plane plane =
     let addr, listener, server = scripted_server ~rounds in
-    Fun.protect ~finally:(fun () -> Thread.join server; Unix.close listener)
-    @@ fun () ->
-    let mux, ep =
+    let mux =
       match plane with
-      | `Sockets -> (None, Endpoint.create ~client:5 ~servers:[| addr |] ~quorum:1 ())
-      | `Mux ->
-        let mux = Mux.create ~servers:[| addr |] ~quorum:1 () in
-        (Some mux, Endpoint.of_mux (Mux.client mux ~client:5))
+      | `Sockets -> None
+      | `Mux -> Some (Mux.create ~servers:[| addr |] ~quorum:1 ())
     in
+    let ep =
+      match mux with
+      | Some m -> Endpoint.of_mux (Mux.client m ~client:5)
+      | None -> Endpoint.create ~client:5 ~servers:[| addr |] ~quorum:1 ()
+    in
+    (* Closing the client first also unblocks a server still waiting
+       for a request, should a round fail. *)
+    Fun.protect ~finally:(fun () ->
+        Endpoint.close ep;
+        Option.iter Mux.shutdown mux;
+        Thread.join server;
+        Unix.close listener)
+    @@ fun () ->
     for _ = 1 to rounds do
       Endpoint.exec ~key:"k" ep (Wire.Update (value 1 5 1)) (fun rs ->
           check int "exactly the quorum delivered" 1 (List.length rs))
     done;
-    let late = Endpoint.late_replies ep in
-    Endpoint.close ep;
-    let dropped =
-      match mux with
-      | Some m ->
-        let d = Mux.dropped_replies m in
-        Mux.shutdown m;
-        Some d
-      | None -> None
-    in
-    (late, dropped)
+    (Endpoint.late_replies ep, Option.map Mux.dropped_replies mux)
   in
   let sockets_late, _ = run_plane `Sockets in
   let mux_late, mux_dropped = run_plane `Mux in
