@@ -6,6 +6,10 @@
      dune exec bench/main.exe -- t1 f9     -- selected experiments
      dune exec bench/main.exe -- micro     -- only the micro-benchmarks
 
+   Options: --domains N, --live-ops N, --soak-ops N, --chaos-seed N
+   (or --option=N).  An unknown experiment or option, or a malformed
+   value, exits 2 before any experiment runs.
+
    Absolute numbers are simulator-relative; the reproduction targets are
    the *shapes*: which design points admit atomic implementations, the
    1-vs-2 round-trip latency gap, and the R < S/t − 2 crossover. *)
@@ -697,552 +701,93 @@ let exhaustive () =
 
 (* Machine-readable results so later PRs have a perf trajectory to
    compare against: bechamel estimates plus the T1 sweep wall-clock
-   (from [micro]) and the live-TCP throughput/latency table (from
-   [live]).  Each experiment deposits its section here; the file is
-   written once, after all requested experiments ran, so `-- micro live`
-   produces one combined document. *)
+   (from [micro]), the live-TCP tables (from [live]) and the kv, soak,
+   chaos and geo sections.  Each experiment deposits its rows here; the
+   file is written once, after all requested experiments ran, so
+   `-- micro live` produces one combined document.  Row fields, their
+   kinds and their order live in bench_schema.ml. *)
 let bench_results_path = "BENCH_results.json"
 
-type micro_section = {
-  estimates : (string * float) list;
-  seq_s : float;
-  par_s : float;
-  speedup : float; (* median of paired per-round ratios, not seq_s/par_s *)
-  domains : int;
-  runs : int;
-  broken : int;
-}
+module Schema = Bench_schema
 
 (* Writes and reads per client in the live experiments; --live-ops N
    scales it down so CI smoke runs finish in seconds. *)
 let live_ops = ref 20
 
-type scaling_row = {
-  sc_name : string;
-  sc_path : string; (* "mux" or "sockets" *)
-  sc_clients : int; (* total clients = sc_w + sc_r *)
-  sc_regime : string; (* "steady" (amortised) or "short" (setup-bound) *)
-  sc_w : int;
-  sc_r : int;
-  sc_ops : int;
-  sc_duration : float;
-  sc_write_p50_ms : float;
-  sc_read_p50_ms : float;
-}
-
-let scaling_rows : scaling_row list ref = ref []
-
-type live_row = {
-  l_name : string;
-  l_point : string;
-  l_s : int;
-  l_t : int;
-  l_w : int;
-  l_r : int;
-  l_ops : int;
-  l_duration : float;
-  l_write_rounds : float;
-  l_read_rounds : float;
-  l_writes : Stats.summary;
-  l_reads : Stats.summary;
-  l_atomic : bool;
-}
-
-type chaos_soak_row = {
-  ch_name : string;
-  ch_transport : string; (* "mux" or "sockets" *)
-  ch_seed : int;
-  ch_drop : float;
-  ch_delay : float;
-  ch_duplicate : float;
-  ch_restarted : bool;
-  ch_ops : int;
-  ch_duration : float;
-  ch_write_rounds : float;
-  ch_read_rounds : float;
-  ch_retries : int;
-  ch_late : int;
-  ch_unavailable : int;
-  ch_atomic : bool;
-  ch_expected : bool; (* Bounds.possible at the soak's (s,t,w,r) *)
-}
-
-type chaos_restart_row = {
-  cr_mode : string; (* "recover" or "fresh" *)
-  cr_transport : string;
-  cr_atomic : bool;
-  cr_witness : string option;
-  cr_read_value : int option;
-}
-
 (* Base seed for the chaos soak; each row derives its own seed from it
    so the whole sweep replays from one number (--chaos-seed N). *)
 let chaos_seed = ref 0
-
-let chaos_soak_rows : chaos_soak_row list ref = ref []
-let chaos_restart_rows : chaos_restart_row list ref = ref []
-
-type kv_row = {
-  kv_plane : string; (* "mux" or "sockets" *)
-  kv_regime : string; (* "closed" (saturated) or "scaleout" (think time) *)
-  kv_think : float;
-  kv_groups : int;
-  kv_clients : int;
-  kv_keys : int;
-  kv_dist : string; (* "zipfian" or "uniform" *)
-  kv_mix : string; (* "A" | "B" | "C" *)
-  kv_ops : int;
-  kv_duration : float;
-  kv_all : Stats.summary;
-  kv_read : Stats.summary;
-  kv_write : Stats.summary;
-  kv_sampled : int;
-  kv_atomic : bool; (* every sampled key's verdict *)
-  kv_starved : int;
-  kv_late : int;
-  kv_retries : int;
-  kv_dropped : int;
-  kv_group_ops : int array;
-  kv_keys_touched : int;
-}
-
-let kv_rows : kv_row list ref = ref []
 
 (* Completed operations the soak experiment pushes through the
    streaming checker; --soak-ops N scales it down for CI smoke. *)
 let soak_ops = ref 1_000_000
 
-type soak_row = {
-  sk_plane : string; (* "kv" or "session" *)
-  sk_label : string;
-  sk_ops : int; (* completed client operations *)
-  sk_duration : float;
-  sk_throughput : float; (* ops/s with the live checker attached *)
-  sk_throughput_nocheck : float; (* same workload, checking off *)
-  sk_checked : int; (* operations fed through the checker *)
-  sk_keys : int;
-  sk_peak_window : int; (* checker's peak resident operations *)
-  sk_checker_ops_per_sec : float;
-  sk_batches : int;
-  sk_violations : int;
-  sk_atomic : bool;
-  sk_expected_atomic : bool;
-}
+(* What this run regenerated, newest first: each value at its path in
+   the document ([["geo"; "rows"]] for a geo row). *)
+let deposits : (string list * Schema.json) list ref = ref []
+let deposit path v = deposits := (path, v) :: !deposits
 
-let soak_rows : soak_row list ref = ref []
+let int = Schema.int
+let num f = Schema.Num f
+let str s = Schema.Str s
+let bool b = Schema.Bool b
 
-type geo_row = {
-  g_profile : string;
-  g_transport : string; (* "mux" or "sockets" *)
-  g_name : string;
-  g_point : string;
-  g_s : int;
-  g_t : int;
-  g_w : int;
-  g_r : int;
-  g_ops : int;
-  g_duration : float;
-  g_write_rounds : float;
-  g_read_rounds : float;
-  g_writes : Stats.summary;
-  g_reads : Stats.summary;
-  g_atomic : bool;
-}
-
-type geo_outage_row = {
-  go_profile : string;
-  go_transport : string;
-  go_name : string;
-  go_region : string; (* the region partitioned away *)
-  go_window_s : float;
-  go_ops : int;
-  go_duration : float;
-  go_retries : int;
-  go_unavailable : int;
-  go_atomic : bool;
-  go_check : string; (* "live": the streaming checker's verdict *)
-}
-
-let geo_rows : geo_row list ref = ref []
-let geo_outage_rows : geo_outage_row list ref = ref []
-
-let micro_section : micro_section option ref = ref None
-
-let live_rows : live_row list ref = ref []
-
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+(* A latency summary (seconds) as the document's milliseconds object. *)
+let ms (st : Stats.summary) =
+  Schema.Obj
+    [
+      ("mean", num (1e3 *. st.Stats.mean));
+      ("p50", num (1e3 *. st.Stats.p50));
+      ("p95", num (1e3 *. st.Stats.p95));
+      ("p99", num (1e3 *. st.Stats.p99));
+    ]
 
 (* BENCH_results.json grows section by section: a run that exercises
    only some experiments (say [-- geo]) must not clobber the committed
-   sections of the others.  The document is this generator's own output
-   — every top-level key sits at two-space indentation, one line per
-   key start — so a line scanner is enough to split an existing file
-   into (key, raw text) chunks that re-emit verbatim when this run did
-   not regenerate them. *)
-let read_existing_sections path =
-  if not (Sys.file_exists path) then []
-  else begin
-    let ic = open_in path in
-    let lines = ref [] in
-    (try
-       while true do
-         lines := input_line ic :: !lines
-       done
-     with End_of_file -> ());
-    close_in ic;
-    let toplevel_key line =
-      if String.length line > 3 && String.sub line 0 3 = "  \"" then
-        Option.map
-          (fun j -> String.sub line 3 (j - 3))
-          (String.index_from_opt line 3 '"')
-      else None
-    in
-    let strip_comma text =
-      let n = String.length text in
-      if n > 0 && text.[n - 1] = ',' then String.sub text 0 (n - 1) else text
-    in
-    let flush key acc sections =
-      match key with
-      | None -> sections
-      | Some k -> (k, strip_comma (String.concat "\n" (List.rev acc))) :: sections
-    in
-    let rec go key acc sections = function
-      | [] -> List.rev (flush key acc sections)
-      | line :: rest -> (
-        (* Bare braces at column 0 only occur as the document's opener
-           and closer; nested ones are indented. *)
-        if line = "{" || line = "}" then go key acc sections rest
-        else
-          match toplevel_key line with
-          | Some k -> go (Some k) [ line ] (flush key acc sections) rest
-          | None ->
-            if key = None then go None [] sections rest
-            else go key (line :: acc) sections rest)
-    in
-    go None [] [] (List.rev !lines)
-  end
-
-(* Keys whose values are a single header line, regenerated on every
-   write rather than preserved. *)
-let header_keys = [ "generated_by"; "recommended_domain_count" ]
-
-let section_order =
-  [
-    "wall_clock"; "micro_ns_per_run"; "live"; "live_scaling"; "kv_scaling";
-    "geo"; "soak"; "chaos";
-  ]
-
-let write_bench_results () =
-  let fresh = ref [] in
-  let buf = Buffer.create 4096 in
-  let out fmt = Printf.bprintf buf fmt in
-  let take key =
-    if Buffer.length buf > 0 then begin
-      fresh := (key, Buffer.contents buf) :: !fresh;
-      Buffer.clear buf
-    end
+   sections of the others, so they are parsed back and kept. *)
+let existing_sections path =
+  let refuse why =
+    Printf.eprintf "%s: %s; refusing to overwrite it\n" path why;
+    exit 1
   in
-  begin
-    (match !micro_section with
-    | None -> ()
-    | Some m ->
-      out "  \"wall_clock\": [\n";
-      out "    {\n";
-      out "      \"experiment\": \"t1-measurement-sweep\",\n";
-      out "      \"runs\": %d,\n" m.runs;
-      out "      \"violations\": %d,\n" m.broken;
-      out "      \"sequential_s\": %.6f,\n" m.seq_s;
-      out "      \"parallel_s\": %.6f,\n" m.par_s;
-      out "      \"domains\": %d,\n" m.domains;
-      (* Two decimals: the contenders alternate on a settled heap and
-         the ratio is the median of paired rounds, so differences below
-         the last reported digit are timer noise, not parallelism (on a
-         clamped single-domain pool the honest value is exactly 1.0). *)
-      out "      \"speedup\": %.2f\n" m.speedup;
-      out "    }\n";
-      out "  ]";
-      take "wall_clock";
-      out "  \"micro_ns_per_run\": {\n";
-      let n = List.length m.estimates in
-      List.iteri
-        (fun i (name, estimate) ->
-          out "    \"%s\": %.2f%s\n" (json_escape name) estimate
-            (if i = n - 1 then "" else ","))
-        m.estimates;
-      out "  }";
-      take "micro_ns_per_run");
-    (match List.rev !live_rows with
-    | [] -> ()
-    | rows ->
-      let ms_obj (st : Stats.summary) =
-        Printf.sprintf
-          "{ \"mean\": %.4f, \"p50\": %.4f, \"p95\": %.4f, \"p99\": %.4f }"
-          (1e3 *. st.Stats.mean) (1e3 *. st.Stats.p50) (1e3 *. st.Stats.p95)
-          (1e3 *. st.Stats.p99)
-      in
-      out "  \"live\": [\n";
-      let n = List.length rows in
-      List.iteri
-        (fun i r ->
-          out "    {\n";
-          out "      \"protocol\": \"%s\",\n" (json_escape r.l_name);
-          out "      \"design_point\": \"%s\",\n" (json_escape r.l_point);
-          out "      \"s\": %d, \"t\": %d, \"writers\": %d, \"readers\": %d,\n"
-            r.l_s r.l_t r.l_w r.l_r;
-          out "      \"ops\": %d,\n" r.l_ops;
-          out "      \"duration_s\": %.6f,\n" r.l_duration;
-          out "      \"throughput_ops_per_s\": %.1f,\n"
-            (float_of_int r.l_ops /. r.l_duration);
-          out "      \"write_rounds_per_op\": %.2f,\n" r.l_write_rounds;
-          out "      \"read_rounds_per_op\": %.2f,\n" r.l_read_rounds;
-          out "      \"write_ms\": %s,\n" (ms_obj r.l_writes);
-          out "      \"read_ms\": %s,\n" (ms_obj r.l_reads);
-          out "      \"atomic\": %b\n" r.l_atomic;
-          out "    }%s\n" (if i = n - 1 then "" else ","))
-        rows;
-      out "  ]";
-      take "live");
-    (match List.rev !scaling_rows with
-    | [] -> ()
-    | rows ->
-      out "  \"live_scaling\": [\n";
-      let n = List.length rows in
-      List.iteri
-        (fun i r ->
-          out "    {\n";
-          out "      \"protocol\": \"%s\",\n" (json_escape r.sc_name);
-          out "      \"path\": \"%s\",\n" r.sc_path;
-          out "      \"server\": \"reactor\",\n";
-          out "      \"clients\": %d,\n" r.sc_clients;
-          out "      \"regime\": \"%s\",\n" r.sc_regime;
-          out "      \"writers\": %d, \"readers\": %d,\n" r.sc_w r.sc_r;
-          out "      \"ops\": %d,\n" r.sc_ops;
-          out "      \"duration_s\": %.6f,\n" r.sc_duration;
-          out "      \"throughput_ops_per_s\": %.1f,\n"
-            (float_of_int r.sc_ops /. r.sc_duration);
-          out "      \"write_p50_ms\": %.4f,\n" r.sc_write_p50_ms;
-          out "      \"read_p50_ms\": %.4f\n" r.sc_read_p50_ms;
-          out "    }%s\n" (if i = n - 1 then "" else ","))
-        rows;
-      out "  ]";
-      take "live_scaling");
-    (match List.rev !kv_rows with
-    | [] -> ()
-    | rows ->
-      let ms_obj (st : Stats.summary) =
-        Printf.sprintf
-          "{ \"mean\": %.4f, \"p50\": %.4f, \"p95\": %.4f, \"p99\": %.4f }"
-          (1e3 *. st.Stats.mean) (1e3 *. st.Stats.p50) (1e3 *. st.Stats.p95)
-          (1e3 *. st.Stats.p99)
-      in
-      out "  \"kv_scaling\": [\n";
-      let n = List.length rows in
-      List.iteri
-        (fun i r ->
-          out "    {\n";
-          out "      \"plane\": \"%s\",\n" r.kv_plane;
-          out "      \"regime\": \"%s\",\n" r.kv_regime;
-          out "      \"think_s\": %.3f,\n" r.kv_think;
-          out "      \"groups\": %d,\n" r.kv_groups;
-          out "      \"clients\": %d,\n" r.kv_clients;
-          out "      \"keys\": %d,\n" r.kv_keys;
-          out "      \"dist\": \"%s\",\n" r.kv_dist;
-          out "      \"mix\": \"%s\",\n" r.kv_mix;
-          out "      \"ops\": %d,\n" r.kv_ops;
-          out "      \"duration_s\": %.6f,\n" r.kv_duration;
-          out "      \"throughput_ops_per_s\": %.1f,\n"
-            (float_of_int r.kv_ops /. r.kv_duration);
-          out "      \"latency_ms\": %s,\n" (ms_obj r.kv_all);
-          out "      \"read_ms\": %s,\n" (ms_obj r.kv_read);
-          out "      \"write_ms\": %s,\n" (ms_obj r.kv_write);
-          out "      \"sampled_keys\": %d,\n" r.kv_sampled;
-          out "      \"atomic\": %b,\n" r.kv_atomic;
-          out "      \"starved\": %d,\n" r.kv_starved;
-          out "      \"late\": %d,\n" r.kv_late;
-          out "      \"retries\": %d,\n" r.kv_retries;
-          out "      \"dropped_replies\": %d,\n" r.kv_dropped;
-          out "      \"keys_touched\": %d,\n" r.kv_keys_touched;
-          out "      \"group_ops\": [%s]\n"
-            (String.concat ", "
-               (Array.to_list (Array.map string_of_int r.kv_group_ops)));
-          out "    }%s\n" (if i = n - 1 then "" else ","))
-        rows;
-      out "  ]";
-      take "kv_scaling");
-    (match (List.rev !geo_rows, List.rev !geo_outage_rows) with
-    | [], [] -> ()
-    | rows, outage ->
-      let ms_obj (st : Stats.summary) =
-        Printf.sprintf
-          "{ \"mean\": %.4f, \"p50\": %.4f, \"p95\": %.4f, \"p99\": %.4f }"
-          (1e3 *. st.Stats.mean) (1e3 *. st.Stats.p50) (1e3 *. st.Stats.p95)
-          (1e3 *. st.Stats.p99)
-      in
-      out "  \"geo\": {\n";
-      out "    \"rows\": [\n";
-      let n = List.length rows in
-      List.iteri
-        (fun i r ->
-          out "      {\n";
-          out "        \"profile\": \"%s\",\n" (json_escape r.g_profile);
-          out "        \"protocol\": \"%s\",\n" (json_escape r.g_name);
-          out "        \"design_point\": \"%s\",\n" (json_escape r.g_point);
-          out "        \"transport\": \"%s\",\n" r.g_transport;
-          out "        \"s\": %d, \"t\": %d, \"writers\": %d, \"readers\": %d,\n"
-            r.g_s r.g_t r.g_w r.g_r;
-          out "        \"ops\": %d,\n" r.g_ops;
-          out "        \"duration_s\": %.6f,\n" r.g_duration;
-          out "        \"throughput_ops_per_s\": %.1f,\n"
-            (float_of_int r.g_ops /. r.g_duration);
-          out "        \"write_rounds_per_op\": %.2f,\n" r.g_write_rounds;
-          out "        \"read_rounds_per_op\": %.2f,\n" r.g_read_rounds;
-          out "        \"write_ms\": %s,\n" (ms_obj r.g_writes);
-          out "        \"read_ms\": %s,\n" (ms_obj r.g_reads);
-          out "        \"atomic\": %b\n" r.g_atomic;
-          out "      }%s\n" (if i = n - 1 then "" else ","))
-        rows;
-      out "    ],\n";
-      out "    \"outage\": [\n";
-      let n = List.length outage in
-      List.iteri
-        (fun i r ->
-          out "      {\n";
-          out "        \"profile\": \"%s\",\n" (json_escape r.go_profile);
-          out "        \"protocol\": \"%s\",\n" (json_escape r.go_name);
-          out "        \"transport\": \"%s\",\n" r.go_transport;
-          out "        \"region\": \"%s\",\n" (json_escape r.go_region);
-          out "        \"window_s\": %.3f,\n" r.go_window_s;
-          out "        \"ops\": %d,\n" r.go_ops;
-          out "        \"duration_s\": %.6f,\n" r.go_duration;
-          out "        \"retries\": %d,\n" r.go_retries;
-          out "        \"unavailable\": %d,\n" r.go_unavailable;
-          out "        \"check\": \"%s\",\n" r.go_check;
-          out "        \"atomic\": %b\n" r.go_atomic;
-          out "      }%s\n" (if i = n - 1 then "" else ","))
-        outage;
-      out "    ]\n";
-      out "  }";
-      take "geo");
-    (match List.rev !soak_rows with
-    | [] -> ()
-    | rows ->
-      out "  \"soak\": [\n";
-      let n = List.length rows in
-      List.iteri
-        (fun i r ->
-          out "    {\n";
-          out "      \"plane\": \"%s\",\n" r.sk_plane;
-          out "      \"label\": \"%s\",\n" (json_escape r.sk_label);
-          out "      \"ops\": %d,\n" r.sk_ops;
-          out "      \"duration_s\": %.6f,\n" r.sk_duration;
-          out "      \"throughput_ops_per_s\": %.1f,\n" r.sk_throughput;
-          out "      \"throughput_nocheck_ops_per_s\": %.1f,\n"
-            r.sk_throughput_nocheck;
-          out "      \"checked\": %d,\n" r.sk_checked;
-          out "      \"keys\": %d,\n" r.sk_keys;
-          out "      \"peak_window\": %d,\n" r.sk_peak_window;
-          out "      \"checker_ops_per_s\": %.1f,\n" r.sk_checker_ops_per_sec;
-          out "      \"batches\": %d,\n" r.sk_batches;
-          out "      \"violations\": %d,\n" r.sk_violations;
-          out "      \"atomic\": %b,\n" r.sk_atomic;
-          out "      \"expected_atomic\": %b\n" r.sk_expected_atomic;
-          out "    }%s\n" (if i = n - 1 then "" else ","))
-        rows;
-      out "  ]";
-      take "soak");
-    (match (List.rev !chaos_soak_rows, List.rev !chaos_restart_rows) with
-    | [], [] -> ()
-    | soak, restart ->
-      out "  \"chaos\": {\n";
-      out "    \"base_seed\": %d,\n" !chaos_seed;
-      out "    \"soak\": [\n";
-      let n = List.length soak in
-      List.iteri
-        (fun i r ->
-          out "      {\n";
-          out "        \"protocol\": \"%s\",\n" (json_escape r.ch_name);
-          out "        \"transport\": \"%s\",\n" r.ch_transport;
-          out "        \"seed\": %d,\n" r.ch_seed;
-          out "        \"drop\": %.3f, \"delay_s\": %.3f, \"duplicate\": %.3f,\n"
-            r.ch_drop r.ch_delay r.ch_duplicate;
-          out "        \"restarted\": %b,\n" r.ch_restarted;
-          out "        \"ops\": %d,\n" r.ch_ops;
-          out "        \"duration_s\": %.6f,\n" r.ch_duration;
-          out "        \"write_rounds_per_op\": %.2f,\n" r.ch_write_rounds;
-          out "        \"read_rounds_per_op\": %.2f,\n" r.ch_read_rounds;
-          out "        \"retries\": %d,\n" r.ch_retries;
-          out "        \"late\": %d,\n" r.ch_late;
-          out "        \"unavailable\": %d,\n" r.ch_unavailable;
-          out "        \"atomic\": %b,\n" r.ch_atomic;
-          out "        \"expected_atomic\": %b\n" r.ch_expected;
-          out "      }%s\n" (if i = n - 1 then "" else ","))
-        soak;
-      out "    ],\n";
-      out "    \"restart\": [\n";
-      let n = List.length restart in
-      List.iteri
-        (fun i r ->
-          out "      {\n";
-          out "        \"mode\": \"%s\",\n" r.cr_mode;
-          out "        \"transport\": \"%s\",\n" r.cr_transport;
-          out "        \"atomic\": %b,\n" r.cr_atomic;
-          (match r.cr_read_value with
-          | Some v -> out "        \"read_value\": %d,\n" v
-          | None -> out "        \"read_value\": null,\n");
-          (match r.cr_witness with
-          | Some w -> out "        \"witness\": \"%s\"\n" (json_escape w)
-          | None -> out "        \"witness\": null\n");
-          out "      }%s\n" (if i = n - 1 then "" else ","))
-        restart;
-      out "    ]\n";
-      out "  }";
-      take "chaos")
-  end;
-  let fresh = List.rev !fresh in
-  if fresh <> [] then begin
-    let preserved =
+  if not (Sys.file_exists path) then []
+  else
+    match Schema.parse (In_channel.with_open_bin path In_channel.input_all) with
+    | Schema.Obj members ->
+      List.filter (fun (k, _) -> not (List.mem_assoc k Schema.header)) members
+    | Schema.Null | Schema.Bool _ | Schema.Num _ | Schema.Str _ | Schema.List _
+      ->
+      refuse "not a JSON object"
+    | exception Schema.Parse_error msg -> refuse ("JSON parse error " ^ msg)
+
+let write_bench_results ~requested =
+  match Schema.assemble (List.rev !deposits) with
+  | [] -> ()
+  | fresh ->
+    let kept =
       List.filter
-        (fun (k, _) ->
-          (not (List.mem_assoc k fresh)) && not (List.mem k header_keys))
-        (read_existing_sections bench_results_path)
+        (fun (k, _) -> not (List.mem_assoc k fresh))
+        (existing_sections bench_results_path)
     in
-    let rank k =
-      let rec idx i = function
-        | [] -> i
-        | x :: tl -> if x = k then i else idx (i + 1) tl
-      in
-      idx 0 section_order
+    (* Document order; sections this build does not know go last. *)
+    let rank (k, _) =
+      Option.value ~default:max_int
+        (List.find_index (fun (s, _) -> s = k) Schema.sections)
     in
     let merged =
-      List.stable_sort
-        (fun (a, _) (b, _) -> compare (rank a) (rank b))
-        (fresh @ preserved)
+      List.stable_sort (fun a b -> compare (rank a) (rank b)) (fresh @ kept)
     in
-    let oc = open_out bench_results_path in
-    Printf.fprintf oc "{\n";
-    Printf.fprintf oc
-      "  \"generated_by\": \"dune exec bench/main.exe -- micro live kv chaos \
-       geo\",\n";
-    Printf.fprintf oc "  \"recommended_domain_count\": %d"
-      (Domain.recommended_domain_count ());
-    List.iter (fun (_, text) -> Printf.fprintf oc ",\n%s" text) merged;
-    Printf.fprintf oc "\n}\n";
-    close_out oc;
+    let doc =
+      Schema.Obj
+        (( "generated_by",
+           str ("dune exec bench/main.exe -- " ^ String.concat " " requested) )
+        :: ("recommended_domain_count", int (Domain.recommended_domain_count ()))
+        :: merged)
+    in
+    Out_channel.with_open_bin bench_results_path (fun oc ->
+        output_string oc (Schema.to_string doc));
     Printf.printf "\nwrote %s (sections: %s)\n" bench_results_path
       (String.concat ", " (List.map fst merged))
-  end
 
 (* ------------------------------------------------------------------ *)
 (* LV: the live TCP benchmark                                           *)
@@ -1294,25 +839,28 @@ let live_exp () =
             (Printf.sprintf "%.2f/%.2f/%.2f" (1e3 *. reads.Stats.p50)
                (1e3 *. reads.Stats.p95) (1e3 *. reads.Stats.p99))
             atomic;
-          live_rows :=
-            {
-              l_name = name;
-              l_point =
-                Quorums.Bounds.design_point_to_string
-                  (Registers.Registry.design_point register);
-              l_s = s;
-              l_t = t;
-              l_w = w;
-              l_r = r;
-              l_ops = n_ops;
-              l_duration = res.Transport.Session.duration;
-              l_write_rounds = res.Transport.Session.write_rounds;
-              l_read_rounds = res.Transport.Session.read_rounds;
-              l_writes = writes;
-              l_reads = reads;
-              l_atomic = atomic;
-            }
-            :: !live_rows))
+          deposit [ "live" ]
+            (Schema.Obj
+               [
+                 ("protocol", str name);
+                 ( "design_point",
+                   str
+                     (Quorums.Bounds.design_point_to_string
+                        (Registers.Registry.design_point register)) );
+                 ("s", int s);
+                 ("t", int t);
+                 ("writers", int w);
+                 ("readers", int r);
+                 ("ops", int n_ops);
+                 ("duration_s", num res.Transport.Session.duration);
+                 ( "throughput_ops_per_s",
+                   num (float_of_int n_ops /. res.Transport.Session.duration) );
+                 ("write_rounds_per_op", num res.Transport.Session.write_rounds);
+                 ("read_rounds_per_op", num res.Transport.Session.read_rounds);
+                 ("write_ms", ms writes);
+                 ("read_ms", ms reads);
+                 ("atomic", bool atomic);
+               ])))
     [
       (Registers.Registry.abd_swmr, 1, 2);
       (Registers.Registry.abd_mwmr, 2, 2);
@@ -1410,20 +958,25 @@ let live_exp () =
                     path c regime n_ops
                     (float_of_int n_ops /. res.Transport.Session.duration)
                     (1e3 *. writes.Stats.p50) (1e3 *. reads.Stats.p50);
-                  scaling_rows :=
-                    {
-                      sc_name = name;
-                      sc_path = path;
-                      sc_clients = c;
-                      sc_regime = regime;
-                      sc_w = c / 2;
-                      sc_r = c / 2;
-                      sc_ops = n_ops;
-                      sc_duration = res.Transport.Session.duration;
-                      sc_write_p50_ms = 1e3 *. writes.Stats.p50;
-                      sc_read_p50_ms = 1e3 *. reads.Stats.p50;
-                    }
-                    :: !scaling_rows))
+                  deposit [ "live_scaling" ]
+                    (Schema.Obj
+                       [
+                         ("protocol", str name);
+                         ("path", str path);
+                         ("server", str "reactor");
+                         ("clients", int c);
+                         ("regime", str regime);
+                         ("writers", int (c / 2));
+                         ("readers", int (c / 2));
+                         ("ops", int n_ops);
+                         ("duration_s", num res.Transport.Session.duration);
+                         ( "throughput_ops_per_s",
+                           num
+                             (float_of_int n_ops
+                             /. res.Transport.Session.duration) );
+                         ("write_p50_ms", num (1e3 *. writes.Stats.p50));
+                         ("read_p50_ms", num (1e3 *. reads.Stats.p50));
+                       ])))
             points)
         [ ("sockets", `Sockets); ("mux", `Mux) ])
     Registers.Registry.multi_writer;
@@ -1451,6 +1004,7 @@ let chaos_exp () =
   row "%s\n" (String.make 96 '-');
   let ops = max 2 (!live_ops / 2) in
   let base = !chaos_seed in
+  deposit [ "chaos"; "base_seed" ] (int base);
   let i = ref 0 in
   List.iter
     (fun register ->
@@ -1470,26 +1024,26 @@ let chaos_exp () =
             seed n_ops res.Transport.Session.retries
             res.Transport.Session.write_rounds res.Transport.Session.read_rounds
             sk.Transport.Chaos.atomic sk.Transport.Chaos.expected_atomic;
-          chaos_soak_rows :=
-            {
-              ch_name = name;
-              ch_transport = path;
-              ch_seed = seed;
-              ch_drop = sk.Transport.Chaos.drop;
-              ch_delay = sk.Transport.Chaos.delay;
-              ch_duplicate = sk.Transport.Chaos.duplicate;
-              ch_restarted = sk.Transport.Chaos.restarted;
-              ch_ops = n_ops;
-              ch_duration = res.Transport.Session.duration;
-              ch_write_rounds = res.Transport.Session.write_rounds;
-              ch_read_rounds = res.Transport.Session.read_rounds;
-              ch_retries = res.Transport.Session.retries;
-              ch_late = res.Transport.Session.late;
-              ch_unavailable = res.Transport.Session.unavailable;
-              ch_atomic = sk.Transport.Chaos.atomic;
-              ch_expected = sk.Transport.Chaos.expected_atomic;
-            }
-            :: !chaos_soak_rows)
+          deposit [ "chaos"; "soak" ]
+            (Schema.Obj
+               [
+                 ("protocol", str name);
+                 ("transport", str path);
+                 ("seed", int seed);
+                 ("drop", num sk.Transport.Chaos.drop);
+                 ("delay_s", num sk.Transport.Chaos.delay);
+                 ("duplicate", num sk.Transport.Chaos.duplicate);
+                 ("restarted", bool sk.Transport.Chaos.restarted);
+                 ("ops", int n_ops);
+                 ("duration_s", num res.Transport.Session.duration);
+                 ("write_rounds_per_op", num res.Transport.Session.write_rounds);
+                 ("read_rounds_per_op", num res.Transport.Session.read_rounds);
+                 ("retries", int res.Transport.Session.retries);
+                 ("late", int res.Transport.Session.late);
+                 ("unavailable", int res.Transport.Session.unavailable);
+                 ("atomic", bool sk.Transport.Chaos.atomic);
+                 ("expected_atomic", bool sk.Transport.Chaos.expected_atomic);
+               ]))
         [ ("mux", `Mux); ("sockets", `Sockets) ])
     Registers.Registry.multi_writer;
   (* The deterministic restart-fidelity script: both halves of the
@@ -1508,15 +1062,16 @@ let chaos_exp () =
             (match o.Transport.Chaos.read_value with
             | Some v -> string_of_int v
             | None -> "-");
-          chaos_restart_rows :=
-            {
-              cr_mode = mode_name;
-              cr_transport = path;
-              cr_atomic = o.Transport.Chaos.atomic;
-              cr_witness = o.Transport.Chaos.witness;
-              cr_read_value = o.Transport.Chaos.read_value;
-            }
-            :: !chaos_restart_rows)
+          let opt f = Option.fold ~none:Schema.Null ~some:f in
+          deposit [ "chaos"; "restart" ]
+            (Schema.Obj
+               [
+                 ("mode", str mode_name);
+                 ("transport", str path);
+                 ("atomic", bool o.Transport.Chaos.atomic);
+                 ("read_value", opt int o.Transport.Chaos.read_value);
+                 ("witness", opt str o.Transport.Chaos.witness);
+               ]))
         [ ("recover", `Recover); ("fresh", `Fresh) ])
     [ ("mux", `Mux); ("sockets", `Sockets) ];
   Printf.printf
@@ -1580,31 +1135,37 @@ let kv_exp () =
           res.Kv.Kv_session.throughput (1e3 *. all.Stats.p50)
           (1e3 *. all.Stats.p95) (1e3 *. all.Stats.p99) atomic
           res.Kv.Kv_session.dropped;
-        kv_rows :=
-          {
-            kv_plane = plane;
-            kv_regime = regime;
-            kv_think = think;
-            kv_groups = groups;
-            kv_clients = clients;
-            kv_keys = keys;
-            kv_dist = Ycsb.dist_name dist;
-            kv_mix = Ycsb.mix_name mix;
-            kv_ops = res.Kv.Kv_session.ops;
-            kv_duration = res.Kv.Kv_session.duration;
-            kv_all = all;
-            kv_read = res.Kv.Kv_session.read_lat;
-            kv_write = res.Kv.Kv_session.write_lat;
-            kv_sampled = List.length res.Kv.Kv_session.verdicts;
-            kv_atomic = atomic;
-            kv_starved = res.Kv.Kv_session.starved;
-            kv_late = res.Kv.Kv_session.late;
-            kv_retries = res.Kv.Kv_session.retries;
-            kv_dropped = res.Kv.Kv_session.dropped;
-            kv_group_ops = res.Kv.Kv_session.group_ops;
-            kv_keys_touched = res.Kv.Kv_session.keys_touched;
-          }
-          :: !kv_rows)
+        deposit [ "kv_scaling" ]
+          (Schema.Obj
+             [
+               ("plane", str plane);
+               ("regime", str regime);
+               ("think_s", num think);
+               ("groups", int groups);
+               ("clients", int clients);
+               ("keys", int keys);
+               ("dist", str (Ycsb.dist_name dist));
+               ("mix", str (Ycsb.mix_name mix));
+               ("ops", int res.Kv.Kv_session.ops);
+               ("duration_s", num res.Kv.Kv_session.duration);
+               ( "throughput_ops_per_s",
+                 num
+                   (float_of_int res.Kv.Kv_session.ops
+                   /. res.Kv.Kv_session.duration) );
+               ("latency_ms", ms all);
+               ("read_ms", ms res.Kv.Kv_session.read_lat);
+               ("write_ms", ms res.Kv.Kv_session.write_lat);
+               ("sampled_keys", int (List.length res.Kv.Kv_session.verdicts));
+               ("atomic", bool atomic);
+               ("starved", int res.Kv.Kv_session.starved);
+               ("late", int res.Kv.Kv_session.late);
+               ("retries", int res.Kv.Kv_session.retries);
+               ("dropped_replies", int res.Kv.Kv_session.dropped);
+               ("keys_touched", int res.Kv.Kv_session.keys_touched);
+               ( "group_ops",
+                 Schema.List
+                   (List.map int (Array.to_list res.Kv.Kv_session.group_ops)) );
+             ]))
   in
   let idx = ref 0 in
   let zipf = Ycsb.Zipfian Ycsb.default_theta in
@@ -1689,24 +1250,24 @@ let soak_exp () =
       r.Transport.Check_sink.peak_window
       r.Transport.Check_sink.checker_ops_per_sec atomic
       (List.length r.Transport.Check_sink.violations);
-    soak_rows :=
-      {
-        sk_plane = plane;
-        sk_label = label;
-        sk_ops = ops;
-        sk_duration = duration;
-        sk_throughput = tput;
-        sk_throughput_nocheck = nocheck_tput;
-        sk_checked = r.Transport.Check_sink.checked;
-        sk_keys = r.Transport.Check_sink.keys;
-        sk_peak_window = r.Transport.Check_sink.peak_window;
-        sk_checker_ops_per_sec = r.Transport.Check_sink.checker_ops_per_sec;
-        sk_batches = r.Transport.Check_sink.batches;
-        sk_violations = List.length r.Transport.Check_sink.violations;
-        sk_atomic = atomic;
-        sk_expected_atomic = expected;
-      }
-      :: !soak_rows
+    deposit [ "soak" ]
+      (Schema.Obj
+         [
+           ("plane", str plane);
+           ("label", str label);
+           ("ops", int ops);
+           ("duration_s", num duration);
+           ("throughput_ops_per_s", num tput);
+           ("throughput_nocheck_ops_per_s", num nocheck_tput);
+           ("checked", int r.Transport.Check_sink.checked);
+           ("keys", int r.Transport.Check_sink.keys);
+           ("peak_window", int r.Transport.Check_sink.peak_window);
+           ("checker_ops_per_s", num r.Transport.Check_sink.checker_ops_per_sec);
+           ("batches", int r.Transport.Check_sink.batches);
+           ("violations", int (List.length r.Transport.Check_sink.violations));
+           ("atomic", bool atomic);
+           ("expected_atomic", bool expected);
+         ])
   in
   (* KV: the million-op row.  sample_keys = 0 -- the batch path would
      hold (and then quadratically check) the hottest key's ~7% of the
@@ -1859,27 +1420,34 @@ let geo_exp () =
                     res.Transport.Session.write_rounds
                     res.Transport.Session.read_rounds
                     (1e3 *. writes.Stats.p50) (1e3 *. reads.Stats.p50) atomic;
-                  geo_rows :=
-                    {
-                      g_profile = pname;
-                      g_transport = path;
-                      g_name = name;
-                      g_point =
-                        Quorums.Bounds.design_point_to_string
-                          (Registers.Registry.design_point register);
-                      g_s = s;
-                      g_t = t;
-                      g_w = w;
-                      g_r = r;
-                      g_ops = n_ops;
-                      g_duration = res.Transport.Session.duration;
-                      g_write_rounds = res.Transport.Session.write_rounds;
-                      g_read_rounds = res.Transport.Session.read_rounds;
-                      g_writes = writes;
-                      g_reads = reads;
-                      g_atomic = atomic;
-                    }
-                    :: !geo_rows))
+                  deposit [ "geo"; "rows" ]
+                    (Schema.Obj
+                       [
+                         ("profile", str pname);
+                         ("protocol", str name);
+                         ( "design_point",
+                           str
+                             (Quorums.Bounds.design_point_to_string
+                                (Registers.Registry.design_point register)) );
+                         ("transport", str path);
+                         ("s", int s);
+                         ("t", int t);
+                         ("writers", int w);
+                         ("readers", int r);
+                         ("ops", int n_ops);
+                         ("duration_s", num res.Transport.Session.duration);
+                         ( "throughput_ops_per_s",
+                           num
+                             (float_of_int n_ops
+                             /. res.Transport.Session.duration) );
+                         ( "write_rounds_per_op",
+                           num res.Transport.Session.write_rounds );
+                         ( "read_rounds_per_op",
+                           num res.Transport.Session.read_rounds );
+                         ("write_ms", ms writes);
+                         ("read_ms", ms reads);
+                         ("atomic", bool atomic);
+                       ])))
             [ ("mux", `Mux); ("sockets", `Sockets) ])
         Registers.Registry.all)
     geo_bench_profiles;
@@ -1952,21 +1520,22 @@ let geo_exp () =
           row "%-28s %-9s %-5d %-9d %-9d %-7s %b\n" name path n_ops
             res.Transport.Session.retries res.Transport.Session.unavailable
             "live" atomic;
-          geo_outage_rows :=
-            {
-              go_profile = Transport.Geo.name profile;
-              go_transport = path;
-              go_name = name;
-              go_region = Transport.Geo.region_name profile out_region;
-              go_window_s = window_until -. window_from;
-              go_ops = n_ops;
-              go_duration = res.Transport.Session.duration;
-              go_retries = res.Transport.Session.retries;
-              go_unavailable = res.Transport.Session.unavailable;
-              go_atomic = atomic;
-              go_check = "live";
-            }
-            :: !geo_outage_rows))
+          deposit [ "geo"; "outage" ]
+            (Schema.Obj
+               [
+                 ("profile", str (Transport.Geo.name profile));
+                 ("protocol", str name);
+                 ("transport", str path);
+                 ( "region",
+                   str (Transport.Geo.region_name profile out_region) );
+                 ("window_s", num (window_until -. window_from));
+                 ("ops", int n_ops);
+                 ("duration_s", num res.Transport.Session.duration);
+                 ("retries", int res.Transport.Session.retries);
+                 ("unavailable", int res.Transport.Session.unavailable);
+                 ("check", str "live");
+                 ("atomic", bool atomic);
+               ])))
     [ ("mux", `Mux); ("sockets", `Sockets) ];
   Printf.printf
     "\nShape check: rounds/op are profile-invariant (the paper's cost\n\
@@ -2186,17 +1755,20 @@ let micro () =
   if (seq_runs, seq_broken) <> (par_runs, par_broken) then
     row "WARNING: parallel verdicts diverge from sequential (%d,%d vs %d,%d)\n"
       seq_runs seq_broken par_runs par_broken;
-  micro_section :=
-    Some
-      {
-        estimates = List.rev !estimates;
-        seq_s;
-        par_s;
-        speedup;
-        domains;
-        runs = seq_runs;
-        broken = seq_broken;
-      }
+  deposit [ "wall_clock" ]
+    (Schema.Obj
+       [
+         ("experiment", str "t1-measurement-sweep");
+         ("runs", int seq_runs);
+         ("violations", int seq_broken);
+         ("sequential_s", num seq_s);
+         ("parallel_s", num par_s);
+         ("domains", int domains);
+         (* The median of paired per-round ratios, not seq_s/par_s. *)
+         ("speedup", num speedup);
+       ]);
+  deposit [ "micro_ns_per_run" ]
+    (Schema.Obj (List.rev_map (fun (name, ns) -> (name, num ns)) !estimates))
 
 (* ------------------------------------------------------------------ *)
 (* Driver                                                               *)
@@ -2224,72 +1796,72 @@ let experiments =
     ("micro", micro);
   ]
 
+let usage_error fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Printf.eprintf "bench: %s\n" msg;
+      exit 2)
+    fmt
+
+(* The whole command line is checked before any experiment runs: a
+   typo in a CI invocation must fail the run, not quietly drop the
+   section it meant to produce. *)
 let () =
-  let args = List.tl (Array.to_list Sys.argv) in
-  let domains, requested =
-    let rec go domains acc = function
-      | [] -> (domains, List.rev acc)
-      | "--domains" :: n :: rest -> go (int_of_string_opt n) acc rest
-      | arg :: rest when String.length arg > 10 && String.sub arg 0 10 = "--domains=" ->
-        go (int_of_string_opt (String.sub arg 10 (String.length arg - 10))) acc rest
-      | "--live-ops" :: n :: rest ->
-        (match int_of_string_opt n with
-        | Some k when k >= 1 -> live_ops := k
-        | _ -> ());
-        go domains acc rest
-      | arg :: rest when String.length arg > 11 && String.sub arg 0 11 = "--live-ops=" ->
-        (match int_of_string_opt (String.sub arg 11 (String.length arg - 11)) with
-        | Some k when k >= 1 -> live_ops := k
-        | _ -> ());
-        go domains acc rest
-      | "--soak-ops" :: n :: rest ->
-        (match int_of_string_opt n with
-        | Some k when k >= 1 -> soak_ops := k
-        | _ -> ());
-        go domains acc rest
-      | arg :: rest
-        when String.length arg > 11 && String.sub arg 0 11 = "--soak-ops=" ->
-        (match
-           int_of_string_opt (String.sub arg 11 (String.length arg - 11))
-         with
-        | Some k when k >= 1 -> soak_ops := k
-        | _ -> ());
-        go domains acc rest
-      | "--chaos-seed" :: n :: rest ->
-        (match int_of_string_opt n with
-        | Some k -> chaos_seed := k
-        | None -> ());
-        go domains acc rest
-      | arg :: rest
-        when String.length arg > 13 && String.sub arg 0 13 = "--chaos-seed=" ->
-        (match
-           int_of_string_opt (String.sub arg 13 (String.length arg - 13))
-         with
-        | Some k -> chaos_seed := k
-        | None -> ());
-        go domains acc rest
-      | arg :: rest -> go domains (arg :: acc) rest
-    in
-    go None [] args
+  let domains = ref None in
+  (* name, least accepted value, what it sets *)
+  let options =
+    [
+      ("--domains", 1, fun n -> domains := Some n);
+      ("--live-ops", 1, ( := ) live_ops);
+      ("--soak-ops", 1, ( := ) soak_ops);
+      ("--chaos-seed", min_int, ( := ) chaos_seed);
+    ]
+  in
+  let set name value =
+    match (List.find_opt (fun (n, _, _) -> n = name) options, value) with
+    | None, _ -> usage_error "unknown option %s" name
+    | Some _, None -> usage_error "%s expects a value" name
+    | Some (_, least, cell), Some v -> (
+      match int_of_string_opt v with
+      | Some k when k >= least -> cell k
+      | Some _ | None ->
+        usage_error "%s expects an integer >= %d, got %S" name least v)
+  in
+  let rec parse acc = function
+    | [] -> List.rev acc
+    | arg :: rest when String.starts_with ~prefix:"--" arg ->
+      let name, value, rest =
+        match (String.index_opt arg '=', rest) with
+        | Some i, _ ->
+          ( String.sub arg 0 i,
+            Some (String.sub arg (i + 1) (String.length arg - i - 1)),
+            rest )
+        | None, v :: rest -> (arg, Some v, rest)
+        | None, [] -> (arg, None, [])
+      in
+      set name value;
+      parse acc rest
+    | name :: rest ->
+      if not (List.mem_assoc name experiments) then
+        usage_error "unknown experiment %S; available: %s" name
+          (String.concat ", " (List.map fst experiments));
+      parse (name :: acc) rest
+  in
+  let requested =
+    match parse [] (List.tl (Array.to_list Sys.argv)) with
+    | [] -> List.map fst experiments
+    | names -> names
   in
   let domains =
-    match domains with Some n -> max 1 n | None -> Parallel.Pool.default_domains ()
+    match !domains with
+    | Some n -> n
+    | None -> Parallel.Pool.default_domains ()
   in
   pool := Parallel.Pool.create ~domains ();
   (* stderr, so the experiment tables stay byte-identical across domain
      counts. *)
   Printf.eprintf "[domains %d]\n%!" domains;
-  let requested =
-    match requested with [] -> List.map fst experiments | args -> args
-  in
   Printf.printf
     "mwregister benchmark harness — reproducing Huang, Huang & Wei (PODC 2020)\n";
-  List.iter
-    (fun name ->
-      match List.assoc_opt name experiments with
-      | Some f -> f ()
-      | None ->
-        Printf.printf "unknown experiment %S; available: %s\n" name
-          (String.concat ", " (List.map fst experiments)))
-    requested;
-  write_bench_results ()
+  List.iter (fun name -> (List.assoc name experiments) ()) requested;
+  write_bench_results ~requested

@@ -1,288 +1,42 @@
-(* Schema validation for BENCH_results.json.
+(* Validation for BENCH_results.json.
 
-     dune exec bench/validate_results.exe [-- [--require-knee] path]
+     dune exec bench/validate_results.exe [-- [--require-knee] [path]]
 
-   The bench harness hand-rolls its JSON writer, so CI runs this after
-   every smoke bench: parse the document with a strict minimal JSON
-   reader (no dependencies), then assert the section shapes — required
-   keys present with the right types, counters non-negative, durations
-   positive.  The live_scaling section also carries semantics: every
-   (protocol, path) swept must include a steady row at >= 1024 total
-   clients (the reactor server's headline capability), and under
-   [--require-knee] — used against the committed full-budget document,
-   not the tiny-op CI smoke regeneration — the best steady throughput
-   at >= 256 clients must beat the thread-per-connection server's
-   recorded C=16 peak, per (protocol, path).  Exit status 0 on a
-   conforming file, 1 with a diagnostic otherwise. *)
+   CI runs this after every smoke bench and on the committed document.
+   The shape of every section — required keys present with the right
+   types, counters non-negative, durations positive — is checked by
+   walking the field descriptors in bench_schema.ml, the same table the
+   bench writer renders rows through.  This file holds only the gates
+   that span rows or carry semantics.  Every (protocol, path) swept in
+   live_scaling must include a steady row at >= 1024 total clients (the
+   reactor server's headline capability).  Under [--require-knee] —
+   used against the committed full-budget document, not the tiny-op CI
+   smoke regeneration — the best steady throughput at >= 256 clients
+   must also beat the thread-per-connection server's recorded C=16
+   peak, per (protocol, path), and the kv grid, the million-op soak and
+   the geo section must be present.  Exit status 0 on a conforming
+   file, 1 with a diagnostic otherwise, 2 on a bad command line. *)
 
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | List of json list
-  | Obj of (string * json) list
-
-exception Parse_error of string
-
-let parse (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Parse_error (Printf.sprintf "at byte %d: %s" !pos msg)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-      advance ();
-      skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | Some c' -> fail (Printf.sprintf "expected %c, got %c" c c')
-    | None -> fail (Printf.sprintf "expected %c, got end of input" c)
-  in
-  let literal word v =
-    if !pos + String.length word <= n && String.sub s !pos (String.length word) = word
-    then begin
-      pos := !pos + String.length word;
-      v
-    end
-    else fail (Printf.sprintf "bad literal (wanted %s)" word)
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' ->
-        advance ();
-        (match peek () with
-        | Some '"' -> Buffer.add_char buf '"'; advance ()
-        | Some '\\' -> Buffer.add_char buf '\\'; advance ()
-        | Some '/' -> Buffer.add_char buf '/'; advance ()
-        | Some 'n' -> Buffer.add_char buf '\n'; advance ()
-        | Some 't' -> Buffer.add_char buf '\t'; advance ()
-        | Some 'r' -> Buffer.add_char buf '\r'; advance ()
-        | Some 'b' -> Buffer.add_char buf '\b'; advance ()
-        | Some 'f' -> Buffer.add_char buf '\012'; advance ()
-        | Some 'u' ->
-          advance ();
-          if !pos + 4 > n then fail "truncated \\u escape";
-          let hex = String.sub s !pos 4 in
-          (match int_of_string_opt ("0x" ^ hex) with
-          | Some code when code < 0x80 -> Buffer.add_char buf (Char.chr code)
-          | Some _ -> Buffer.add_char buf '?' (* non-ASCII: placeholder *)
-          | None -> fail "bad \\u escape");
-          pos := !pos + 4
-        | _ -> fail "bad escape");
-        go ()
-      | Some c ->
-        Buffer.add_char buf c;
-        advance ();
-        go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let parse_number () =
-    let start = !pos in
-    let num_char = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while (match peek () with Some c when num_char c -> true | _ -> false) do
-      advance ()
-    done;
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> Num f
-    | None -> fail "bad number"
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '{' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some '}' then begin
-        advance ();
-        Obj []
-      end
-      else begin
-        let fields = ref [] in
-        let rec members () =
-          skip_ws ();
-          let key = parse_string () in
-          skip_ws ();
-          expect ':';
-          let v = parse_value () in
-          fields := (key, v) :: !fields;
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            members ()
-          | Some '}' -> advance ()
-          | _ -> fail "expected , or } in object"
-        in
-        members ();
-        Obj (List.rev !fields)
-      end
-    | Some '[' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some ']' then begin
-        advance ();
-        List []
-      end
-      else begin
-        let items = ref [] in
-        let rec elements () =
-          let v = parse_value () in
-          items := v :: !items;
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            elements ()
-          | Some ']' -> advance ()
-          | _ -> fail "expected , or ] in array"
-        in
-        elements ();
-        List (List.rev !items)
-      end
-    | Some '"' -> Str (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some _ -> parse_number ()
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing bytes after document";
-  v
-
-(* ------------------------------------------------------------------ *)
-(* Schema checks                                                        *)
-(* ------------------------------------------------------------------ *)
+module S = Bench_schema
 
 let errors = ref []
-
 let err path msg = errors := Printf.sprintf "%s: %s" path msg :: !errors
 
-let field obj path key =
-  match obj with
-  | Obj fields -> List.assoc_opt key fields
-  | Null | Bool _ | Num _ | Str _ | List _ ->
-    err path "expected an object";
-    None
+(* The rows of a [Rows] section with their paths, plus typed getters
+   that see a member only when it conforms to its descriptor (the shape
+   walk has already reported every member that does not). *)
+let rows path = function
+  | S.List items ->
+    List.mapi (fun i e -> (Printf.sprintf "%s[%d]" path i, e)) items
+  | S.Null | S.Bool _ | S.Num _ | S.Str _ | S.Obj _ -> []
 
-let want_string obj path key =
-  match field obj path key with
-  | Some (Str s) ->
-    if s = "" then err (path ^ "." ^ key) "empty string";
-    Some s
-  | Some (Null | Bool _ | Num _ | List _ | Obj _) ->
-    err (path ^ "." ^ key) "expected a string";
-    None
-  | None ->
-    err path (Printf.sprintf "missing key %S" key);
-    None
+let num fields e key = S.to_num (S.get fields e key)
+let str fields e key = S.to_str (S.get fields e key)
+let flag fields e key = S.to_bool (S.get fields e key)
 
-let want_number obj path key =
-  match field obj path key with
-  | Some (Num f) -> Some f
-  | Some (Null | Bool _ | Str _ | List _ | Obj _) ->
-    err (path ^ "." ^ key) "expected a number";
-    None
-  | None ->
-    err path (Printf.sprintf "missing key %S" key);
-    None
-
-let want_bool obj path key =
-  match field obj path key with
-  | Some (Bool _) -> ()
-  | Some (Null | Num _ | Str _ | List _ | Obj _) ->
-    err (path ^ "." ^ key) "expected a bool"
-  | None -> err path (Printf.sprintf "missing key %S" key)
-
-let positive obj path key =
-  match want_number obj path key with
-  | Some f when f > 0.0 -> ()
-  | Some _ -> err (path ^ "." ^ key) "must be > 0"
-  | None -> ()
-
-let non_negative obj path key =
-  match want_number obj path key with
-  | Some f when f >= 0.0 -> ()
-  | Some _ -> err (path ^ "." ^ key) "must be >= 0"
-  | None -> ()
-
-let check_ms_obj obj path key =
-  match field obj path key with
-  | Some (Obj _ as ms) ->
-    List.iter (fun k -> non_negative ms (path ^ "." ^ key) k)
-      [ "mean"; "p50"; "p95"; "p99" ]
-  | Some (Null | Bool _ | Num _ | Str _ | List _) ->
-    err (path ^ "." ^ key) "expected an object"
-  | None -> err path (Printf.sprintf "missing key %S" key)
-
-let check_wall_clock path = function
-  | List entries ->
-    if entries = [] then err path "empty";
-    List.iteri
-      (fun i e ->
-        let p = Printf.sprintf "%s[%d]" path i in
-        ignore (want_string e p "experiment");
-        non_negative e p "runs";
-        non_negative e p "violations";
-        positive e p "sequential_s";
-        positive e p "parallel_s";
-        positive e p "domains";
-        positive e p "speedup")
-      entries
-  | Null | Bool _ | Num _ | Str _ | Obj _ -> err path "expected an array"
-
-let check_micro path = function
-  | Obj fields ->
-    if fields = [] then err path "empty";
-    List.iter
-      (fun (k, v) ->
-        match v with
-        | Num f when f > 0.0 -> ()
-        | Num _ -> err (path ^ "." ^ k) "must be > 0"
-        | Null | Bool _ | Str _ | List _ | Obj _ ->
-          err (path ^ "." ^ k) "expected a number")
-      fields
-  | Null | Bool _ | Num _ | Str _ | List _ -> err path "expected an object"
-
-let check_live path = function
-  | List entries ->
-    if entries = [] then err path "empty";
-    List.iteri
-      (fun i e ->
-        let p = Printf.sprintf "%s[%d]" path i in
-        ignore (want_string e p "protocol");
-        ignore (want_string e p "design_point");
-        positive e p "s";
-        non_negative e p "t";
-        non_negative e p "writers";
-        positive e p "readers";
-        positive e p "ops";
-        positive e p "duration_s";
-        positive e p "throughput_ops_per_s";
-        positive e p "write_rounds_per_op";
-        positive e p "read_rounds_per_op";
-        check_ms_obj e p "write_ms";
-        check_ms_obj e p "read_ms";
-        want_bool e p "atomic")
-      entries
-  | Null | Bool _ | Num _ | Str _ | Obj _ -> err path "expected an array"
+let member key = function
+  | S.Obj members -> List.assoc_opt key members
+  | S.Null | S.Bool _ | S.Num _ | S.Str _ | S.List _ -> None
 
 (* The thread-per-connection server's sustained throughput at its
    contended peak (C=16 in old units: 16 writers + 16 readers = 32
@@ -304,122 +58,74 @@ let threaded_c16_floor =
     ("naive fast-write/fast-read", "mux", 709.8);
   ]
 
-let check_scaling ~require_knee path = function
-  | List entries ->
-    if entries = [] then err path "empty";
-    (* (protocol, path, regime, clients, ops/s) per well-formed row,
-       for the cross-row checks below. *)
-    let rows = ref [] in
-    List.iteri
-      (fun i e ->
-        let p = Printf.sprintf "%s[%d]" path i in
-        let protocol = want_string e p "protocol" in
-        let path_s =
-          match want_string e p "path" with
-          | Some ("mux" | "sockets") as ok -> ok
-          | Some other ->
-            err (p ^ ".path") (Printf.sprintf "unknown path %S" other);
-            None
-          | None -> None
-        in
-        (match want_string e p "server" with
-        | Some "reactor" | None -> ()
-        | Some other ->
-          err (p ^ ".server") (Printf.sprintf "unknown server %S" other));
-        let regime =
-          match want_string e p "regime" with
-          | Some ("steady" | "short") as ok -> ok
-          | Some other ->
-            err (p ^ ".regime") (Printf.sprintf "unknown regime %S" other);
-            None
-          | None -> None
-        in
-        let clients = want_number e p "clients" in
-        (match clients with
-        | Some c when c <= 0.0 -> err (p ^ ".clients") "must be > 0"
-        | Some _ | None -> ());
-        let w = want_number e p "writers" in
-        let r = want_number e p "readers" in
-        (match[@warning "-4"] (clients, w, r) with
+let check_scaling ~require_knee path section =
+  let f = S.live_scaling in
+  (* (protocol, path, regime, clients, ops/s) per well-formed row, for
+     the cross-row checks below. *)
+  let rows =
+    List.filter_map
+      (fun (p, e) ->
+        (match[@warning "-4"]
+           (num f e "clients", num f e "writers", num f e "readers")
+         with
         | Some c, Some w, Some r when c <> w +. r ->
           err (p ^ ".clients") "must equal writers + readers"
         | _ -> ());
-        (match w with
-        | Some w when w <= 0.0 -> err (p ^ ".writers") "must be > 0"
-        | Some _ | None -> ());
-        (match r with
-        | Some r when r <= 0.0 -> err (p ^ ".readers") "must be > 0"
-        | Some _ | None -> ());
-        positive e p "ops";
-        positive e p "duration_s";
-        let tput = want_number e p "throughput_ops_per_s" in
-        (match tput with
-        | Some t when t <= 0.0 -> err (p ^ ".throughput_ops_per_s") "must be > 0"
-        | Some _ | None -> ());
-        non_negative e p "write_p50_ms";
-        non_negative e p "read_p50_ms";
-        match[@warning "-4"] (protocol, path_s, regime, clients, tput) with
-        | Some pr, Some pa, Some re, Some c, Some t ->
-          rows := (pr, pa, re, c, t) :: !rows
-        | _ -> ())
-      entries;
-    let rows = !rows in
-    let groups =
-      List.sort_uniq compare (List.map (fun (pr, pa, _, _, _) -> (pr, pa)) rows)
-    in
-    (* Every (protocol, path) swept must carry the high-concurrency
-       evidence: a steady row at C >= 1024 is what "the reactor
-       sustains a thousand concurrent clients" means in this
-       document. *)
+        match[@warning "-4"]
+          ( str f e "protocol",
+            str f e "path",
+            str f e "regime",
+            num f e "clients",
+            num f e "throughput_ops_per_s" )
+        with
+        | Some pr, Some pa, Some re, Some c, Some t -> Some (pr, pa, re, c, t)
+        | _ -> None)
+      (rows path section)
+  in
+  let groups =
+    List.sort_uniq compare (List.map (fun (pr, pa, _, _, _) -> (pr, pa)) rows)
+  in
+  (* Every (protocol, path) swept must carry the high-concurrency
+     evidence: a steady row at C >= 1024 is what "the reactor sustains
+     a thousand concurrent clients" means in this document. *)
+  List.iter
+    (fun (pr, pa) ->
+      let has_1024 =
+        List.exists
+          (fun (pr', pa', re, c, _) ->
+            pr' = pr && pa' = pa && re = "steady" && c >= 1024.0)
+          rows
+      in
+      if not has_1024 then
+        err path
+          (Printf.sprintf
+             "%s/%s: no steady row with clients >= 1024 (reactor must \
+              sustain C=1024 on both planes)"
+             pr pa))
+    groups;
+  if require_knee then
     List.iter
-      (fun (pr, pa) ->
-        let has_1024 =
-          List.exists
-            (fun (pr', pa', re, c, _) ->
-              pr' = pr && pa' = pa && re = "steady" && c >= 1024.0)
-            rows
-        in
-        if not has_1024 then
-          err path
-            (Printf.sprintf
-               "%s/%s: no steady row with clients >= 1024 (reactor must \
-                sustain C=1024 on both planes)"
-               pr pa))
-      groups;
-    if require_knee then
-      List.iter
-        (fun (pr, pa, floor) ->
-          if List.mem (pr, pa) groups then
-            let best =
-              List.fold_left
-                (fun acc (pr', pa', re, c, t) ->
-                  if pr' = pr && pa' = pa && re = "steady" && c >= 256.0 then
-                    Float.max acc t
-                  else acc)
-                0.0 rows
-            in
-            if best < floor then
-              err path
-                (Printf.sprintf
-                   "%s/%s: best steady throughput at clients >= 256 is %.1f \
-                    ops/s, below the thread-per-connection C=16 peak of %.1f \
-                    — the scaling knee did not move"
-                   pr pa best floor))
-        threaded_c16_floor
-  | Null | Bool _ | Num _ | Str _ | Obj _ -> err path "expected an array"
+      (fun (pr, pa, floor) ->
+        if List.mem (pr, pa) groups then
+          let best =
+            List.fold_left
+              (fun acc (pr', pa', re, c, t) ->
+                if pr' = pr && pa' = pa && re = "steady" && c >= 256.0 then
+                  Float.max acc t
+                else acc)
+              0.0 rows
+          in
+          if best < floor then
+            err path
+              (Printf.sprintf
+                 "%s/%s: best steady throughput at clients >= 256 is %.1f \
+                  ops/s, below the thread-per-connection C=16 peak of %.1f \
+                  — the scaling knee did not move"
+                 pr pa best floor))
+      threaded_c16_floor
 
-let want_bool_value obj path key =
-  match field obj path key with
-  | Some (Bool b) -> Some b
-  | Some (Null | Num _ | Str _ | List _ | Obj _) ->
-    err (path ^ "." ^ key) "expected a bool";
-    None
-  | None ->
-    err path (Printf.sprintf "missing key %S" key);
-    None
-
-(* The kv_scaling section: the sharded keyspace sweep.  Shape always;
-   verdict semantics always (a non-atomic sampled key means the per-key
+(* The kv_scaling section: the sharded keyspace sweep.  Verdict
+   semantics always (a non-atomic sampled key means the per-key
    protocol broke under the KV plumbing — never acceptable); axis
    completeness and the scale-out knee only under [--require-knee],
    since the CI smoke regenerates a reduced sweep. *)
@@ -429,280 +135,154 @@ let kv_grid_clients = [ 64.0; 256.0 ]
 let kv_grid_keys = [ 1_000.0; 100_000.0 ]
 let kv_grid_dists = [ "zipfian"; "uniform" ]
 
-let check_kv_scaling ~require_knee path = function
-  | List entries ->
-    if entries = [] then err path "empty";
-    (* (plane, regime, groups, clients, keys, dist, mix, ops/s) per
-       well-formed row, for the cross-row checks below. *)
-    let rows = ref [] in
-    List.iteri
-      (fun i e ->
-        let p = Printf.sprintf "%s[%d]" path i in
-        let plane =
-          match want_string e p "plane" with
-          | Some ("mux" | "sockets") as ok -> ok
-          | Some other ->
-            err (p ^ ".plane") (Printf.sprintf "unknown plane %S" other);
-            None
-          | None -> None
-        in
-        let regime =
-          match want_string e p "regime" with
-          | Some ("closed" | "scaleout") as ok -> ok
-          | Some other ->
-            err (p ^ ".regime") (Printf.sprintf "unknown regime %S" other);
-            None
-          | None -> None
-        in
-        non_negative e p "think_s";
-        let groups = want_number e p "groups" in
-        (match groups with
-        | Some g when g < 1.0 -> err (p ^ ".groups") "must be >= 1"
-        | Some _ | None -> ());
-        let clients = want_number e p "clients" in
-        (match clients with
-        | Some c when c < 1.0 -> err (p ^ ".clients") "must be >= 1"
-        | Some _ | None -> ());
-        let keys = want_number e p "keys" in
-        (match keys with
-        | Some k when k < 1.0 -> err (p ^ ".keys") "must be >= 1"
-        | Some _ | None -> ());
-        let dist =
-          match want_string e p "dist" with
-          | Some ("zipfian" | "uniform") as ok -> ok
-          | Some other ->
-            err (p ^ ".dist") (Printf.sprintf "unknown dist %S" other);
-            None
-          | None -> None
-        in
-        let mix =
-          match want_string e p "mix" with
-          | Some ("A" | "B" | "C") as ok -> ok
-          | Some other ->
-            err (p ^ ".mix") (Printf.sprintf "unknown mix %S" other);
-            None
-          | None -> None
-        in
-        let ops = want_number e p "ops" in
-        (match ops with
-        | Some o when o <= 0.0 -> err (p ^ ".ops") "must be > 0"
-        | Some _ | None -> ());
-        positive e p "duration_s";
-        let tput = want_number e p "throughput_ops_per_s" in
-        (match tput with
-        | Some t when t <= 0.0 ->
-          err (p ^ ".throughput_ops_per_s") "must be > 0"
-        | Some _ | None -> ());
-        check_ms_obj e p "latency_ms";
-        check_ms_obj e p "read_ms";
-        check_ms_obj e p "write_ms";
-        (match want_number e p "sampled_keys" with
-        | Some k when k < 1.0 -> err (p ^ ".sampled_keys") "must be >= 1"
-        | Some _ | None -> ());
-        (match want_bool_value e p "atomic" with
-        | Some false ->
-          err p "a sampled key failed the atomicity checker: the per-key \
-                 protocol broke under the KV plumbing"
-        | Some true | None -> ());
-        non_negative e p "starved";
-        non_negative e p "late";
-        non_negative e p "retries";
-        non_negative e p "dropped_replies";
-        positive e p "keys_touched";
-        (match field e p "group_ops" with
-        | Some (List per_group) ->
-          List.iteri
-            (fun g v ->
-              match v with
-              | Num n when n >= 0.0 -> ()
-              | Num _ -> err (Printf.sprintf "%s.group_ops[%d]" p g) "must be >= 0"
-              | Null | Bool _ | Str _ | List _ | Obj _ ->
-                err (Printf.sprintf "%s.group_ops[%d]" p g) "expected a number")
-            per_group;
-          (match groups with
+let check_kv_scaling ~require_knee path section =
+  let f = S.kv_scaling in
+  (* (plane, regime, groups, clients, keys, dist, mix, ops/s) per
+     well-formed row, for the cross-row checks below. *)
+  let rows =
+    List.filter_map
+      (fun (p, e) ->
+        if flag f e "atomic" = Some false then
+          err p
+            "a sampled key failed the atomicity checker: the per-key \
+             protocol broke under the KV plumbing";
+        (match S.get f e "group_ops" with
+        | Some (S.List per_group) ->
+          let counts = List.filter_map (fun v -> S.to_num (Some v)) per_group in
+          (match num f e "groups" with
           | Some g when List.length per_group <> int_of_float g ->
             err (p ^ ".group_ops") "must have one entry per shard group"
           | Some _ | None -> ());
-          let attempted =
-            List.fold_left
-              (fun acc v -> match[@warning "-4"] v with Num n -> acc +. n | _ -> acc)
-              0.0 per_group
-          in
-          (match ops with
-          | Some o when attempted < o ->
+          (match num f e "ops" with
+          | Some o when List.fold_left ( +. ) 0.0 counts < o ->
             err (p ^ ".group_ops")
               "attempted operations across groups below completed ops"
           | Some _ | None -> ())
-        | Some (Null | Bool _ | Num _ | Str _ | Obj _) ->
-          err (p ^ ".group_ops") "expected an array"
-        | None -> err p "missing key \"group_ops\"");
+        | Some (S.Null | S.Bool _ | S.Num _ | S.Str _ | S.Obj _) | None -> ());
         match[@warning "-4"]
-          (plane, regime, groups, clients, keys, dist, mix, tput)
+          ( str f e "plane",
+            str f e "regime",
+            num f e "groups",
+            num f e "clients",
+            num f e "keys",
+            str f e "dist",
+            str f e "mix",
+            num f e "throughput_ops_per_s" )
         with
         | Some pl, Some re, Some g, Some c, Some k, Some d, Some m, Some t ->
-          rows := (pl, re, g, c, k, d, m, t) :: !rows
-        | _ -> ())
-      entries;
-    let rows = !rows in
-    if require_knee then begin
-      (* Axis completeness: the committed full-budget document must
-         carry the whole closed-loop mix-A grid on both planes. *)
-      List.iter
-        (fun pl ->
-          List.iter
-            (fun g ->
-              List.iter
-                (fun c ->
-                  List.iter
-                    (fun k ->
-                      List.iter
-                        (fun d ->
-                          let present =
-                            List.exists
-                              (fun (pl', re, g', c', k', d', m, _) ->
-                                pl' = pl && re = "closed" && g' = g && c' = c
-                                && k' = k && d' = d && m = "A")
-                              rows
-                          in
-                          if not present then
-                            err path
-                              (Printf.sprintf
-                                 "missing closed mix-A row: plane=%s groups=%.0f \
-                                  clients=%.0f keys=%.0f dist=%s"
-                                 pl g c k d))
-                        kv_grid_dists)
-                    kv_grid_keys)
-                kv_grid_clients)
-            kv_grid_groups)
-        [ "mux"; "sockets" ];
-      (* The knee itself: in the scale-out regime (constant per-shard
-         offered load) the 4-group aggregate must beat the 1-group
-         baseline on every plane — capacity composes across shards. *)
-      List.iter
-        (fun pl ->
-          let best g =
-            List.fold_left
-              (fun acc (pl', re, g', _, _, _, _, t) ->
-                if pl' = pl && re = "scaleout" && g' = g then Float.max acc t
-                else acc)
-              0.0 rows
-          in
-          let t1 = best 1.0 and t4 = best 4.0 in
-          if t1 = 0.0 || t4 = 0.0 then
-            err path
-              (Printf.sprintf
-                 "%s: scale-out rows at 1 and 4 groups are required" pl)
-          else if t4 <= t1 then
-            err path
-              (Printf.sprintf
-                 "%s: 4-group scale-out throughput %.1f ops/s does not exceed \
-                  the 1-group baseline %.1f — shard capacity did not compose"
-                 pl t4 t1))
-        [ "mux"; "sockets" ]
-    end
-  | Null | Bool _ | Num _ | Str _ | Obj _ -> err path "expected an array"
-
-(* The soak section: the streaming checker riding the million-op
-   workloads.  Shape and verdict semantics always (a violation in a
-   regime where the theory promises atomicity means either the
-   protocol or the online checker broke); volume and window-bound
-   semantics only under [--require-knee], because the CI smoke
-   regenerates the rows at a reduced op budget.  The window bound is
-   the tentpole claim: peak resident operations must stay at least an
-   order of magnitude below the stream length, or the checker is
-   quietly holding history. *)
-
-let check_soak ~require_knee path = function
-  | List entries ->
-    if entries = [] then err path "empty";
-    (* (plane, ops, checked, peak_window) per well-formed row. *)
-    let rows = ref [] in
-    List.iteri
-      (fun i e ->
-        let p = Printf.sprintf "%s[%d]" path i in
-        let plane =
-          match want_string e p "plane" with
-          | Some ("kv" | "session") as ok -> ok
-          | Some other ->
-            err (p ^ ".plane") (Printf.sprintf "unknown plane %S" other);
-            None
-          | None -> None
-        in
-        ignore (want_string e p "label");
-        let ops = want_number e p "ops" in
-        (match ops with
-        | Some o when o <= 0.0 -> err (p ^ ".ops") "must be > 0"
-        | Some _ | None -> ());
-        positive e p "duration_s";
-        positive e p "throughput_ops_per_s";
-        positive e p "throughput_nocheck_ops_per_s";
-        let checked = want_number e p "checked" in
-        (match checked with
-        | Some c when c <= 0.0 -> err (p ^ ".checked") "must be > 0"
-        | Some _ | None -> ());
-        (match want_number e p "keys" with
-        | Some k when k < 1.0 -> err (p ^ ".keys") "must be >= 1"
-        | Some _ | None -> ());
-        let window = want_number e p "peak_window" in
-        (match window with
-        | Some w when w < 1.0 ->
-          err (p ^ ".peak_window")
-            "must be >= 1 (the checker always holds the in-flight window)"
-        | Some _ | None -> ());
-        positive e p "checker_ops_per_s";
-        positive e p "batches";
-        let violations = want_number e p "violations" in
-        (match violations with
-        | Some v when v < 0.0 -> err (p ^ ".violations") "must be >= 0"
-        | Some _ | None -> ());
-        (match
-           ( want_bool_value e p "atomic",
-             want_bool_value e p "expected_atomic",
-             violations )
-         with
-        | Some false, Some true, _ ->
-          err p
-            "live checker reported a violation in a regime where the \
-             theory promises atomicity"
-        | Some true, _, Some v when v > 0.0 ->
-          err p "atomic=true is inconsistent with violations > 0"
-        | (Some _ | None), (Some _ | None), (Some _ | None) -> ());
-        match[@warning "-4"] (plane, ops, checked, window) with
-        | Some pl, Some o, Some c, Some w -> rows := (pl, o, c, w) :: !rows
-        | _ -> ())
-      entries;
-    let rows = !rows in
-    (* Both recording planes must ride: the sink wires into the
-       session runner and the KV driver alike. *)
+          Some (pl, re, g, c, k, d, m, t)
+        | _ -> None)
+      (rows path section)
+  in
+  if require_knee then begin
+    (* Axis completeness: the committed full-budget document must carry
+       the whole closed-loop mix-A grid on both planes. *)
     List.iter
       (fun pl ->
-        if not (List.exists (fun (pl', _, _, _) -> pl' = pl) rows) then
-          err path (Printf.sprintf "missing soak row for plane %S" pl))
-      [ "kv"; "session" ];
-    (* The stream must be fully covered: the checker sees at least
-       every completed operation (aborted clients may add a pending
-       one on top). *)
-    List.iteri
-      (fun i (_, o, c, _) ->
-        if c < o then
-          err
-            (Printf.sprintf "%s[%d]" path i)
-            "checked below completed ops: the live checker missed part \
-             of the stream")
-      (List.rev rows);
-    if require_knee then begin
-      let headline =
-        List.exists
-          (fun (_, o, c, w) -> o >= 1_000_000.0 && c >= o && w <= o /. 10.0)
-          rows
-      in
-      if not headline then
-        err path
-          "no row with ops >= 1e6, full stream coverage, and peak_window \
-           <= ops/10 — the million-op live-checked soak is the headline \
-           claim of this section"
-    end
-  | Null | Bool _ | Num _ | Str _ | Obj _ -> err path "expected an array"
+        List.iter
+          (fun g ->
+            List.iter
+              (fun c ->
+                List.iter
+                  (fun k ->
+                    List.iter
+                      (fun d ->
+                        let present =
+                          List.exists
+                            (fun (pl', re, g', c', k', d', m, _) ->
+                              pl' = pl && re = "closed" && g' = g && c' = c
+                              && k' = k && d' = d && m = "A")
+                            rows
+                        in
+                        if not present then
+                          err path
+                            (Printf.sprintf
+                               "missing closed mix-A row: plane=%s \
+                                groups=%.0f clients=%.0f keys=%.0f dist=%s"
+                               pl g c k d))
+                      kv_grid_dists)
+                  kv_grid_keys)
+              kv_grid_clients)
+          kv_grid_groups)
+      [ "mux"; "sockets" ];
+    (* The knee itself: in the scale-out regime (constant per-shard
+       offered load) the 4-group aggregate must beat the 1-group
+       baseline on every plane — capacity composes across shards. *)
+    List.iter
+      (fun pl ->
+        let best g =
+          List.fold_left
+            (fun acc (pl', re, g', _, _, _, _, t) ->
+              if pl' = pl && re = "scaleout" && g' = g then Float.max acc t
+              else acc)
+            0.0 rows
+        in
+        let t1 = best 1.0 and t4 = best 4.0 in
+        if t1 = 0.0 || t4 = 0.0 then
+          err path
+            (Printf.sprintf "%s: scale-out rows at 1 and 4 groups are required"
+               pl)
+        else if t4 <= t1 then
+          err path
+            (Printf.sprintf
+               "%s: 4-group scale-out throughput %.1f ops/s does not exceed \
+                the 1-group baseline %.1f — shard capacity did not compose"
+               pl t4 t1))
+      [ "mux"; "sockets" ]
+  end
+
+(* The soak section: the streaming checker riding the million-op
+   workloads.  Verdict semantics always (a violation in a regime where
+   the theory promises atomicity means either the protocol or the
+   online checker broke); volume and window-bound semantics only under
+   [--require-knee], because the CI smoke regenerates the rows at a
+   reduced op budget.  The window bound is the tentpole claim: peak
+   resident operations must stay at least an order of magnitude below
+   the stream length, or the checker is quietly holding history. *)
+
+let check_soak ~require_knee path section =
+  let f = S.soak in
+  let rows = rows path section in
+  List.iter
+    (fun (p, e) ->
+      let violations = num f e "violations" in
+      (match (flag f e "atomic", flag f e "expected_atomic", violations) with
+      | Some false, Some true, _ ->
+        err p
+          "live checker reported a violation in a regime where the theory \
+           promises atomicity"
+      | Some true, _, Some v when v > 0.0 ->
+        err p "atomic=true is inconsistent with violations > 0"
+      | (Some _ | None), (Some _ | None), (Some _ | None) -> ());
+      (* The stream must be fully covered: the checker sees at least
+         every completed operation (aborted clients may add a pending
+         one on top). *)
+      match (num f e "ops", num f e "checked") with
+      | Some o, Some c when c < o ->
+        err p
+          "checked below completed ops: the live checker missed part of \
+           the stream"
+      | (Some _ | None), (Some _ | None) -> ())
+    rows;
+  (* Both recording planes must ride: the sink wires into the session
+     runner and the KV driver alike. *)
+  List.iter
+    (fun pl ->
+      if not (List.exists (fun (_, e) -> str f e "plane" = Some pl) rows) then
+        err path (Printf.sprintf "missing soak row for plane %S" pl))
+    [ "kv"; "session" ];
+  if require_knee then begin
+    let headline (_, e) =
+      match (num f e "ops", num f e "checked", num f e "peak_window") with
+      | Some o, Some c, Some w -> o >= 1_000_000.0 && c >= o && w <= o /. 10.0
+      | (Some _ | None), (Some _ | None), (Some _ | None) -> false
+    in
+    if not (List.exists headline rows) then
+      err path
+        "no row with ops >= 1e6, full stream coverage, and peak_window <= \
+         ops/10 — the million-op live-checked soak is the headline claim of \
+         this section"
+  end
 
 (* The chaos section carries semantics, not just shape: the soak's
    verdicts must match the theory (atomic wherever the design point is
@@ -710,75 +290,35 @@ let check_soak ~require_knee path = function
    the crash-stop argument — recover atomic, fresh caught with a
    witness. *)
 
-let check_chaos path = function
-  | Obj _ as chaos ->
-    non_negative chaos path "base_seed";
-    (match field chaos path "soak" with
-    | Some (List entries) ->
-      if entries = [] then err (path ^ ".soak") "empty";
-      List.iteri
-        (fun i e ->
-          let p = Printf.sprintf "%s.soak[%d]" path i in
-          ignore (want_string e p "protocol");
-          (match want_string e p "transport" with
-          | Some ("mux" | "sockets") | None -> ()
-          | Some other ->
-            err (p ^ ".transport") (Printf.sprintf "unknown transport %S" other));
-          non_negative e p "seed";
-          non_negative e p "drop";
-          non_negative e p "delay_s";
-          non_negative e p "duplicate";
-          want_bool e p "restarted";
-          positive e p "ops";
-          positive e p "duration_s";
-          positive e p "write_rounds_per_op";
-          positive e p "read_rounds_per_op";
-          non_negative e p "retries";
-          non_negative e p "late";
-          non_negative e p "unavailable";
-          match
-            (want_bool_value e p "atomic", want_bool_value e p "expected_atomic")
-          with
+let check_chaos path chaos =
+  let soak = S.chaos_soak and restart = S.chaos_restart in
+  Option.iter
+    (fun section ->
+      List.iter
+        (fun (p, e) ->
+          match (flag soak e "atomic", flag soak e "expected_atomic") with
           | Some false, Some true ->
             err p "non-atomic in a possible regime: chaos broke the protocol"
           | (Some _ | None), (Some _ | None) -> ())
-        entries
-    | Some (Null | Bool _ | Num _ | Str _ | Obj _) ->
-      err (path ^ ".soak") "expected an array"
-    | None -> err path "missing key \"soak\"");
-    (match field chaos path "restart" with
-    | Some (List entries) ->
-      if entries = [] then err (path ^ ".restart") "empty";
-      List.iteri
-        (fun i e ->
-          let p = Printf.sprintf "%s.restart[%d]" path i in
-          (match want_string e p "transport" with
-          | Some ("mux" | "sockets") | None -> ()
-          | Some other ->
-            err (p ^ ".transport") (Printf.sprintf "unknown transport %S" other));
-          let mode = want_string e p "mode" in
-          let atomic = want_bool_value e p "atomic" in
-          let witness = field e p "witness" in
-          match mode with
+        (rows (path ^ ".soak") section))
+    (member "soak" chaos);
+  Option.iter
+    (fun section ->
+      List.iter
+        (fun (p, e) ->
+          let atomic = flag restart e "atomic" in
+          match str restart e "mode" with
           | Some "recover" ->
             if atomic = Some false then
               err p "restart-with-recovery must preserve atomicity"
           | Some "fresh" ->
             if atomic = Some true then
               err p "fresh restart must lose the write and fail the checker";
-            (match witness with
-            | Some (Str w) when w <> "" -> ()
-            | Some Null | None ->
+            if S.get restart e "witness" = Some S.Null then
               err (p ^ ".witness") "fresh restart must record a checker witness"
-            | Some (Bool _ | Num _ | Str _ | List _ | Obj _) ->
-              err (p ^ ".witness") "expected a non-empty string")
-          | Some other -> err (p ^ ".mode") (Printf.sprintf "unknown mode %S" other)
-          | None -> ())
-        entries
-    | Some (Null | Bool _ | Num _ | Str _ | Obj _) ->
-      err (path ^ ".restart") "expected an array"
-    | None -> err path "missing key \"restart\"")
-  | Null | Bool _ | Num _ | Str _ | List _ -> err path "expected an object"
+          | Some _ | None -> ())
+        (rows (path ^ ".restart") section))
+    (member "restart" chaos)
 
 (* The geo section is the WAN/geo acceptance grid: every registry
    protocol on both transports under at least three named profiles —
@@ -787,91 +327,53 @@ let check_chaos path = function
    wan-3region delays) whose verdict must come from the streaming
    checker and also be atomic. *)
 
-let check_geo path = function
-  | Obj _ as geo ->
-    (match field geo path "rows" with
-    | Some (List entries) ->
-      if entries = [] then err (path ^ ".rows") "empty";
-      let profiles = ref [] and protocols = ref [] and pairs = ref [] in
-      let remember r v = if not (List.mem v !r) then r := v :: !r in
-      List.iteri
-        (fun i e ->
-          let p = Printf.sprintf "%s.rows[%d]" path i in
-          let profile = want_string e p "profile" in
-          let protocol = want_string e p "protocol" in
-          ignore (want_string e p "design_point");
-          let transport =
-            match want_string e p "transport" with
-            | Some ("mux" | "sockets") as t -> t
-            | Some other ->
-              err (p ^ ".transport")
-                (Printf.sprintf "unknown transport %S" other);
-              None
-            | None -> None
-          in
-          positive e p "s";
-          non_negative e p "t";
-          positive e p "writers";
-          positive e p "readers";
-          positive e p "ops";
-          positive e p "duration_s";
-          positive e p "throughput_ops_per_s";
-          positive e p "write_rounds_per_op";
-          positive e p "read_rounds_per_op";
-          check_ms_obj e p "write_ms";
-          check_ms_obj e p "read_ms";
-          (match want_bool_value e p "atomic" with
-          | Some true | None -> ()
-          | Some false ->
-            err p "non-atomic under a geo profile: delays broke the protocol");
-          Option.iter (remember profiles) profile;
-          Option.iter (remember protocols) protocol;
-          (match (protocol, transport) with
-          | Some proto, Some tr -> remember pairs (proto, tr)
-          | (Some _ | None), (Some _ | None) -> ()))
-        entries;
-      if List.length !profiles < 3 then
+let check_geo path geo =
+  let f = S.geo_rows and o = S.geo_outage in
+  Option.iter
+    (fun section ->
+      let rows = rows (path ^ ".rows") section in
+      List.iter
+        (fun (p, e) ->
+          if flag f e "atomic" = Some false then
+            err p "non-atomic under a geo profile: delays broke the protocol")
+        rows;
+      let distinct key =
+        List.sort_uniq compare (List.filter_map (fun (_, e) -> str f e key) rows)
+      in
+      let profiles = distinct "profile" and protocols = distinct "protocol" in
+      let pairs =
+        List.filter_map
+          (fun (_, e) ->
+            match (str f e "protocol", str f e "transport") with
+            | Some proto, Some tr -> Some (proto, tr)
+            | (Some _ | None), (Some _ | None) -> None)
+          rows
+      in
+      if List.length profiles < 3 then
         err (path ^ ".rows")
-          (Printf.sprintf
-             "only %d named profile(s); the grid needs at least 3"
-             (List.length !profiles));
-      if List.length !protocols < 8 then
+          (Printf.sprintf "only %d named profile(s); the grid needs at least 3"
+             (List.length profiles));
+      if List.length protocols < 8 then
         err (path ^ ".rows")
           (Printf.sprintf
              "only %d protocol(s); the grid covers the whole registry (8)"
-             (List.length !protocols));
+             (List.length protocols));
       List.iter
         (fun proto ->
           List.iter
             (fun tr ->
-              if not (List.mem (proto, tr) !pairs) then
+              if not (List.mem (proto, tr) pairs) then
                 err (path ^ ".rows")
                   (Printf.sprintf "protocol %S missing on the %s transport"
                      proto tr))
             [ "mux"; "sockets" ])
-        !protocols
-    | Some (Null | Bool _ | Num _ | Str _ | Obj _) ->
-      err (path ^ ".rows") "expected an array"
-    | None -> err path "missing key \"rows\"");
-    (match field geo path "outage" with
-    | Some (List entries) ->
-      if entries = [] then err (path ^ ".outage") "empty";
-      List.iteri
-        (fun i e ->
-          let p = Printf.sprintf "%s.outage[%d]" path i in
-          ignore (want_string e p "profile");
-          ignore (want_string e p "protocol");
-          (match want_string e p "transport" with
-          | Some ("mux" | "sockets") | None -> ()
-          | Some other ->
-            err (p ^ ".transport") (Printf.sprintf "unknown transport %S" other));
-          ignore (want_string e p "region");
-          positive e p "window_s";
-          positive e p "ops";
-          positive e p "duration_s";
-          non_negative e p "retries";
-          non_negative e p "unavailable";
-          (match want_string e p "check" with
+        protocols)
+    (member "rows" geo);
+  Option.iter
+    (fun section ->
+      List.iter
+        (fun (p, e) ->
+          (match str o e "check" with
           | Some "live" | None -> ()
           | Some other ->
             err (p ^ ".check")
@@ -879,76 +381,80 @@ let check_geo path = function
                  "verdict must come from the streaming checker (\"live\"), \
                   got %S"
                  other));
-          match want_bool_value e p "atomic" with
-          | Some true | None -> ()
-          | Some false ->
+          if flag o e "atomic" = Some false then
             err p "a region outage may cost retries, never atomicity")
-        entries
-    | Some (Null | Bool _ | Num _ | Str _ | Obj _) ->
-      err (path ^ ".outage") "expected an array"
-    | None -> err path "missing key \"outage\"")
-  | Null | Bool _ | Num _ | Str _ | List _ -> err path "expected an object"
+        (rows (path ^ ".outage") section))
+    (member "outage" geo)
+
+let usage () =
+  prerr_endline "usage: validate_results [--require-knee] [BENCH_results.json]";
+  exit 2
 
 let () =
-  let require_knee = ref false in
-  let path = ref "BENCH_results.json" in
-  Array.iteri
-    (fun i arg ->
-      if i > 0 then
-        match arg with
-        | "--require-knee" -> require_knee := true
-        | _ -> path := arg)
-    Sys.argv;
-  let path = !path in
+  let options, paths =
+    List.partition
+      (fun a -> String.length a > 0 && a.[0] = '-')
+      (List.tl (Array.to_list Sys.argv))
+  in
+  List.iter
+    (fun o ->
+      if o <> "--require-knee" then begin
+        Printf.eprintf "validate_results: unknown option %s\n" o;
+        usage ()
+      end)
+    options;
+  let require_knee = options <> [] in
+  let path =
+    match paths with
+    | [] -> "BENCH_results.json"
+    | [ path ] -> path
+    | _ :: _ :: _ ->
+      prerr_endline "validate_results: more than one path";
+      usage ()
+  in
   let contents =
-    try
-      let ic = open_in_bin path in
-      let len = in_channel_length ic in
-      let s = really_input_string ic len in
-      close_in ic;
-      s
+    try In_channel.with_open_bin path In_channel.input_all
     with Sys_error msg ->
       Printf.eprintf "cannot read %s: %s\n" path msg;
       exit 1
   in
   let doc =
-    try parse contents
-    with Parse_error msg ->
+    try S.parse contents
+    with S.Parse_error msg ->
       Printf.eprintf "%s: JSON parse error %s\n" path msg;
       exit 1
   in
-  ignore (want_string doc "$" "generated_by");
-  positive doc "$" "recommended_domain_count";
-  let optional = ref 0 in
-  let section key checker =
-    match field doc "$" key with
-    | Some v ->
-      incr optional;
-      checker ("$." ^ key) v
-    | None -> ()
+  S.check ~err "$" "$" (S.Record S.header) doc;
+  let present =
+    List.filter_map
+      (fun (key, kind) ->
+        Option.map
+          (fun v ->
+            S.check ~err ("$." ^ key) key kind v;
+            (key, v))
+          (member key doc))
+      S.sections
   in
-  section "wall_clock" check_wall_clock;
-  section "micro_ns_per_run" check_micro;
-  section "live" check_live;
-  section "live_scaling" (check_scaling ~require_knee:!require_knee);
-  section "kv_scaling" (check_kv_scaling ~require_knee:!require_knee);
-  section "geo" check_geo;
-  section "soak" (check_soak ~require_knee:!require_knee);
-  section "chaos" check_chaos;
-  if !optional = 0 then
+  let gate key checker =
+    Option.iter (checker ("$." ^ key)) (List.assoc_opt key present)
+  in
+  gate "live_scaling" (check_scaling ~require_knee);
+  gate "kv_scaling" (check_kv_scaling ~require_knee);
+  gate "geo" check_geo;
+  gate "soak" (check_soak ~require_knee);
+  gate "chaos" check_chaos;
+  if present = [] then
     err "$"
-      "no result section present (wall_clock / micro_ns_per_run / live / \
-       live_scaling / kv_scaling / geo / soak / chaos)";
+      (Printf.sprintf "no result section present (%s)"
+         (String.concat " / " (List.map fst S.sections)));
   (* The committed full-budget document must carry the geo grid; a
      partial regeneration that dropped it is a regression, not a
      smaller doc. *)
-  (match (!require_knee, field doc "$" "geo") with
-  | true, None ->
-    err "$" "missing geo section (required with --require-knee)"
-  | (true | false), (Some _ | None) -> ());
+  if require_knee && not (List.mem_assoc "geo" present) then
+    err "$" "missing geo section (required with --require-knee)";
   match List.rev !errors with
   | [] ->
-    Printf.printf "%s: schema OK (%d section(s))\n" path !optional;
+    Printf.printf "%s: schema OK (%d section(s))\n" path (List.length present);
     exit 0
   | es ->
     List.iter (fun e -> Printf.eprintf "%s: %s\n" path e) es;

@@ -235,6 +235,99 @@ let gates =
         "$: missing geo section (required with --require-knee)" );
   ]
 
+(* A misspelled flag must not silently turn the knee gates off. *)
+let rejects_command_line args () =
+  let code, text = run_validator args in
+  Alcotest.(check int) ("exit status\n" ^ text) 2 code
+
+(* The bench driver checks its whole command line before running
+   anything: exit 2, nothing on stdout. *)
+let bench_rejects args () =
+  let out = Filename.temp_file "bench" ".out" in
+  let code =
+    Sys.command
+      (Filename.quote_command "../bench/main.exe" ~stdout:out
+         ~stderr:Filename.null args)
+  in
+  let stdout = read_file out in
+  Sys.remove out;
+  Alcotest.(check int) "exit status" 2 code;
+  Alcotest.(check string) "no experiment ran" "" stdout
+
+module S = Bench_schema
+
+let committed_doc () = S.parse (read_file committed)
+
+let sections_of = function
+  | S.Obj members ->
+    List.filter_map
+      (fun (k, kind) -> Option.map (fun v -> (k, kind, v)) (List.assoc_opt k members))
+      S.sections
+  | S.Null | S.Bool _ | S.Num _ | S.Str _ | S.List _ -> []
+
+(* The descriptors agree with the committed document: rendering its
+   sections (member order, decimals) changes nothing. *)
+let render_is_identity () =
+  List.iter
+    (fun (k, kind, v) ->
+      Alcotest.(check bool) (k ^ " unchanged by render") true (S.render kind v = v))
+    (sections_of (committed_doc ()))
+
+(* The printer's output parses back to the same value and still passes
+   every gate: a bench run that keeps a section keeps it intact. *)
+let print_round_trips () =
+  let doc = committed_doc () in
+  let text = S.to_string doc in
+  Alcotest.(check bool) "parse (print doc) = doc" true (S.parse text = doc);
+  with_doc text (fun path ->
+      let code, out = run_validator [ "--require-knee"; path ] in
+      Alcotest.(check int) ("exit status\n" ^ out) 0 code)
+
+(* Deposits become sections in document order, rows in deposit order,
+   members in descriptor order, floats at the descriptor's decimals. *)
+let assemble_orders_and_rounds () =
+  let wall_clock ?(order = Fun.id) ~runs ~parallel ~speedup () =
+    S.Obj
+      (order
+         [
+           ("experiment", S.Str "t1");
+           ("runs", S.int runs);
+           ("violations", S.int 0);
+           ("sequential_s", S.Num 1.0);
+           ("parallel_s", S.Num parallel);
+           ("domains", S.int 2);
+           ("speedup", S.Num speedup);
+         ])
+  in
+  let deposits =
+    [
+      ( [ "wall_clock" ],
+        wall_clock ~order:List.rev ~runs:1 ~parallel:0.1234567 ~speedup:1.234 ()
+      );
+      ([ "micro_ns_per_run" ], S.Obj [ ("x", S.Num 1.23456) ]);
+      ([ "wall_clock" ], wall_clock ~runs:2 ~parallel:0.5 ~speedup:2.0 ());
+    ]
+  in
+  Alcotest.(check bool) "assembled" true
+    (S.assemble deposits
+    = [
+        ( "wall_clock",
+          S.List
+            [
+              wall_clock ~runs:1 ~parallel:0.123457 ~speedup:1.23 ();
+              wall_clock ~runs:2 ~parallel:0.5 ~speedup:2.0 ();
+            ] );
+        ("micro_ns_per_run", S.Obj [ ("x", S.Num 1.23) ]);
+      ]);
+  Alcotest.check_raises "a row missing a documented field"
+    (Invalid_argument "bench row lacks field transport") (fun () ->
+      ignore
+        (S.render (S.Rows S.chaos_restart)
+           (S.List [ S.Obj [ ("mode", S.Str "fresh") ] ])));
+  Alcotest.check_raises "an undocumented field"
+    (Invalid_argument "undocumented bench field extra") (fun () ->
+      ignore (S.render (S.Record S.header) (S.Obj [ ("extra", S.Null) ])))
+
 let () =
   Alcotest.run "bench-results"
     [
@@ -246,4 +339,27 @@ let () =
         ] );
       ( "gates",
         List.map (fun (name, f) -> Alcotest.test_case name `Quick f) gates );
+      ( "command line",
+        [
+          Alcotest.test_case "validator: misspelled flag" `Quick
+            (rejects_command_line [ "--require-kne"; committed ]);
+          Alcotest.test_case "validator: two paths" `Quick
+            (rejects_command_line [ committed; committed ]);
+          Alcotest.test_case "bench: unknown experiment" `Quick
+            (bench_rejects [ "nosuch" ]);
+          Alcotest.test_case "bench: malformed value" `Quick
+            (bench_rejects [ "t1"; "--live-ops"; "x" ]);
+          Alcotest.test_case "bench: out-of-range value" `Quick
+            (bench_rejects [ "--soak-ops=0"; "t1" ]);
+          Alcotest.test_case "bench: malformed domains" `Quick
+            (bench_rejects [ "--domains"; "x"; "t1" ]);
+        ] );
+      ( "schema",
+        [
+          Alcotest.test_case "render is the identity on the committed file"
+            `Quick render_is_identity;
+          Alcotest.test_case "printer round-trips" `Quick print_round_trips;
+          Alcotest.test_case "assemble orders and rounds" `Quick
+            assemble_orders_and_rounds;
+        ] );
     ]
